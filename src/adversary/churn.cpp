@@ -68,30 +68,17 @@ const Graph& ChurnAdversary::next_graph(Round r) {
   //    An edge inserted at r0 must be present in rounds r0 .. r0+σ-1, so it
   //    may first be absent in round r0+σ.  inserted_at_ is sorted by key, so
   //    the removable list comes out in the canonical order directly.
-  std::vector<EdgeKey> removable;
-  removable.reserve(inserted_at_.size());
+  removable_.clear();
   for (const auto& [key, r0] : inserted_at_) {
-    if (r >= r0 + cfg_.sigma) removable.push_back(key);
+    if (r >= r0 + cfg_.sigma) removable_.push_back(key);
   }
-  rng_.shuffle(removable);
-  const std::size_t cuts = std::min(cfg_.churn_per_round, removable.size());
-  if (cuts > 0) {
-    std::vector<EdgeKey> cut(removable.begin(),
-                             removable.begin() + static_cast<std::ptrdiff_t>(cuts));
-    std::sort(cut.begin(), cut.end());
-    for (const EdgeKey key : cut) {
-      const auto [u, v] = edge_endpoints(key);
-      current_.remove_edge(u, v);
-    }
-    // Compact the age list, dropping the cut edges (both lists sorted).
-    age_scratch_.clear();
-    std::size_t c = 0;
-    for (const auto& entry : inserted_at_) {
-      while (c < cut.size() && cut[c] < entry.first) ++c;
-      if (c < cut.size() && cut[c] == entry.first) continue;
-      age_scratch_.push_back(entry);
-    }
-    std::swap(inserted_at_, age_scratch_);
+  rng_.shuffle(removable_);
+  const std::size_t cuts = std::min(cfg_.churn_per_round, removable_.size());
+  cut_.assign(removable_.begin(), removable_.begin() + static_cast<std::ptrdiff_t>(cuts));
+  std::sort(cut_.begin(), cut_.end());
+  for (const EdgeKey key : cut_) {
+    const auto [u, v] = edge_endpoints(key);
+    current_.remove_edge(u, v);
   }
 
   // 2. Replenish toward the target edge count.
@@ -101,19 +88,45 @@ const Graph& ChurnAdversary::next_graph(Round r) {
   }
 
   // 3. Patch connectivity (these insertions are part of the adversary's
-  //    committed schedule and are charged to TC like any other).
-  for (const EdgeKey key : connect_components(current_, rng_)) {
-    pending_.push_back(key);
+  //    committed schedule and are charged to TC like any other).  The
+  //    checker re-checks the graph from its edit journal; the repair draws
+  //    randomness only when there is something to join, so skipping it on a
+  //    connected graph leaves the stream unchanged.  Either way the graph
+  //    now carries a connectivity verdict the engines' graph plane reuses.
+  if (!connectivity_.is_connected(current_)) {
+    for (const EdgeKey key : connect_components(current_, rng_)) {
+      pending_.push_back(key);
+    }
   }
 
-  // Fold this round's insertions into the sorted age list.
-  if (!pending_.empty()) {
-    std::sort(pending_.begin(), pending_.end());
-    const auto old_size = static_cast<std::ptrdiff_t>(inserted_at_.size());
-    for (const EdgeKey key : pending_) inserted_at_.push_back({key, r});
-    std::inplace_merge(inserted_at_.begin(), inserted_at_.begin() + old_size,
-                       inserted_at_.end());
+  // 4. Rebuild the sorted age list: drop the cut edges, merge in this
+  //    round's insertions aged r (a cut edge re-inserted this round comes
+  //    back aged r).  The untouched runs between changed keys are block
+  //    copies; each changed key is located by a binary search.
+  if (cut_.empty() && pending_.empty()) return current_;
+  std::sort(pending_.begin(), pending_.end());
+  age_scratch_.clear();
+  const auto key_less = [](const std::pair<EdgeKey, Round>& e, EdgeKey k) {
+    return e.first < k;
+  };
+  auto pos = inserted_at_.cbegin();
+  std::size_t c = 0;
+  std::size_t p = 0;
+  while (c < cut_.size() || p < pending_.size()) {
+    // On a tie the cut goes first: the old entry leaves, the new one enters.
+    const bool cut = p == pending_.size() || (c < cut_.size() && cut_[c] <= pending_[p]);
+    const EdgeKey key = cut ? cut_[c++] : pending_[p++];
+    const auto at = std::lower_bound(pos, inserted_at_.cend(), key, key_less);
+    age_scratch_.insert(age_scratch_.end(), pos, at);
+    pos = at;
+    if (cut) {
+      ++pos;
+    } else {
+      age_scratch_.push_back({key, r});
+    }
   }
+  age_scratch_.insert(age_scratch_.end(), pos, inserted_at_.cend());
+  std::swap(inserted_at_, age_scratch_);
   return current_;
 }
 

@@ -19,6 +19,7 @@
 
 #include "adversary/adversary.hpp"
 #include "common/rng.hpp"
+#include "graph/connectivity.hpp"
 
 namespace dyngossip {
 
@@ -57,8 +58,11 @@ class ChurnAdversary final : public ObliviousAdversary {
   /// set).  The σ-stability scan walks this in order, so the removable list
   /// needs no per-round sort and no hashing.
   std::vector<std::pair<EdgeKey, Round>> inserted_at_;
-  std::vector<std::pair<EdgeKey, Round>> age_scratch_;  ///< compaction buffer
-  std::vector<EdgeKey> pending_;  ///< edges inserted in the current round
+  std::vector<std::pair<EdgeKey, Round>> age_scratch_;  ///< age-list rebuild buffer
+  std::vector<EdgeKey> removable_;  ///< shuffle buffer: edges old enough to cut
+  std::vector<EdgeKey> cut_;        ///< edges cut in the current round, sorted
+  std::vector<EdgeKey> pending_;    ///< edges inserted in the current round
+  ConnectivityChecker connectivity_;  ///< incremental check of current_
   Round last_round_ = 0;
 };
 

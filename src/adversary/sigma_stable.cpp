@@ -51,7 +51,8 @@ void SigmaStableChurnAdversary::rewire() {
 
   // 2. Patch connectivity (part of the committed schedule, charged to TC
   //    like every other insertion), then replenish to the target count.
-  connect_components(current_, rng_);
+  //    The repair draws randomness only when there is something to join.
+  if (!connectivity_.is_connected(current_)) connect_components(current_, rng_);
   while (current_.num_edges() < cfg_.target_edges) {
     if (!add_random_edge()) break;
   }

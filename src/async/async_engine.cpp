@@ -32,7 +32,8 @@ AsyncEngine::AsyncEngine(Adversary& adversary,
       fault_amnesia_(fault_active_ && opts.faults->amnesia()),
       run_timeout_seconds_(opts.run_timeout_seconds),
       telemetry_(opts.telemetry),
-      tracker_(adversary.num_nodes()) {
+      tracker_(adversary.num_nodes()),
+      plane_(tracker_, opts.telemetry.timeline) {
   const std::size_t n = knowledge_.size();
   DG_CHECK(n >= 1);
   DG_CHECK(n == adversary.num_nodes());
@@ -77,13 +78,11 @@ void AsyncEngine::advance_rounds(Round target) {
         }
       }
     }
-    const Graph& g = clocked_.next_round(knowledge_);
-    view_.rebuild(g);
-    DG_CHECK(connectivity_.is_connected(view_));
-    const GraphDiff& diff = tracker_.advance(view_, r);
+    const GraphDiff& diff = plane_.advance(
+        r, [&]() -> const Graph& { return clocked_.next_round(knowledge_); });
     metrics_.tc += diff.inserted.size();
     metrics_.deletions += diff.removed.size();
-    if (telemetry_.probe != nullptr) probe_edges_ = g.num_edges();
+    if (telemetry_.probe != nullptr) probe_edges_ = plane_.view().num_edges();
     round_ = r;
     metrics_.rounds = r;
   }
@@ -146,7 +145,7 @@ void AsyncEngine::deliver_leg(NodeId from, NodeId to, TokenId tok,
 void AsyncEngine::process(const ActivationEvent& ev) {
   const NodeId v = ev.node;
   if (fault_active_ && !faults_->is_live(v)) return;  // crashed: silent clock
-  const std::span<const NodeId> neigh = view_.neighbors(v);
+  const std::span<const NodeId> neigh = plane_.view().neighbors(v);
   if (neigh.empty()) return;  // isolated in this window
   const std::uint64_t pick = position_hash(seed_, kNeighborSalt, ev.seq);
   const NodeId w = neigh[static_cast<std::size_t>(pick % neigh.size())];

@@ -42,9 +42,8 @@
 #include "async/poisson_clock.hpp"
 #include "common/knowledge_set.hpp"
 #include "common/types.hpp"
-#include "graph/connectivity.hpp"
+#include "engine/graph_plane.hpp"
 #include "graph/dynamic_tracker.hpp"
-#include "graph/round_view.hpp"
 #include "metrics/accounting.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/timeline.hpp"
@@ -167,9 +166,7 @@ class AsyncEngine {
   std::uint64_t seq_ = 0;                     ///< monotone event push counter
   std::vector<std::uint64_t> next_gap_index_; ///< per-node next clock gap
 
-  // Per-window scratch, reused across windows.
-  RoundGraphView view_;                  ///< CSR snapshot of the live graph
-  ConnectivityChecker connectivity_;
+  RoundGraphPlane plane_;  ///< the live graph: CSR view, checks, tracker
 
   // Probe bookkeeping (touched only when telemetry_.probe != nullptr).
   RunMetrics probe_prev_;

@@ -211,6 +211,17 @@ std::string ResultCache::entry_path(const RunKey& key) const {
 }
 
 std::optional<CachedResult> ResultCache::lookup(const RunKey& key) {
+  const std::optional<CachedResult> found = peek(key);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (found) {
+    ++stats_.hits;
+  } else {
+    ++stats_.misses;
+  }
+  return found;
+}
+
+std::optional<CachedResult> ResultCache::peek(const RunKey& key) const {
   std::optional<CachedResult> found;
   try {
     const DecodedEntry e = decode_entry(read_file(entry_path(key)));
@@ -222,12 +233,6 @@ std::optional<CachedResult> ResultCache::lookup(const RunKey& key) {
     }
   } catch (const std::exception&) {
     // Corrupt, truncated, foreign, or absent: a miss by contract.
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (found) {
-    ++stats_.hits;
-  } else {
-    ++stats_.misses;
   }
   return found;
 }

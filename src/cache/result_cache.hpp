@@ -107,6 +107,10 @@ class ResultCache {
   /// absent or unusable for any reason.  Thread-safe.
   [[nodiscard]] std::optional<CachedResult> lookup(const RunKey& key);
 
+  /// lookup() without touching the counters: a second look at a key the
+  /// caller already counted once.  Thread-safe.
+  [[nodiscard]] std::optional<CachedResult> peek(const RunKey& key) const;
+
   /// Publishes `row` under `key` (atomic tmp+rename; a row already present
   /// is left untouched — by key purity it is byte-equivalent).  The caller
   /// is responsible for the cache_should_store policy.  Thread-safe.

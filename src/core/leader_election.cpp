@@ -97,13 +97,11 @@ LeaderElectionResult run_leader_election_unicast(std::size_t n,
   }
 
   DynamicGraphTracker tracker(n);
-  Graph prev(n);
   std::vector<SentRecord> no_traffic;
   std::vector<KnowledgeSet> no_knowledge;
   for (Round r = 1; r <= max_rounds; ++r) {
     UnicastRoundView view;
     view.round = r;
-    view.prev_graph = &prev;
     view.prev_messages = &no_traffic;
     view.knowledge = &no_knowledge;
     Graph g = adversary.unicast_round(view);
@@ -145,7 +143,6 @@ LeaderElectionResult run_leader_election_unicast(std::size_t n,
       }
     }
     result.rounds = r;
-    prev = std::move(g);
     if (all_agree(maxima, result.leader)) {
       // Agreement on values; a real deployment would also quiesce, which
       // takes one more forwarding round — the message count includes it

@@ -5,7 +5,6 @@
 
 #include "common/check.hpp"
 #include "fault/fault_plan.hpp"
-#include "graph/connectivity.hpp"
 #include "sim/runner/parallel.hpp"
 #include "sim/runner/thread_pool.hpp"
 #include "telemetry/round_probe.hpp"
@@ -29,7 +28,8 @@ BroadcastEngine::BroadcastEngine(
       fault_active_(opts.faults != nullptr && opts.faults->active()),
       fault_amnesia_(fault_active_ && opts.faults->amnesia()),
       run_timeout_seconds_(opts.run_timeout_seconds),
-      telemetry_(opts.telemetry) {
+      telemetry_(opts.telemetry),
+      plane_(tracker_, opts.telemetry.timeline) {
   DG_CHECK(!nodes_.empty());
   DG_CHECK(nodes_.size() == knowledge_.size());
   DG_CHECK(adversary_.num_nodes() == nodes_.size());
@@ -118,13 +118,11 @@ Round BroadcastEngine::step() {
   view.round = r;
   view.intents = intents_;
   view.knowledge = &knowledge_;
-  const Graph& g = adversary_.broadcast_round(view);
-  DG_CHECK(g.num_nodes() == n);
-  view_.rebuild(g);
-  DG_CHECK(connectivity_.is_connected(view_));
-  const GraphDiff& diff = tracker_.advance(view_, r);
+  const GraphDiff& diff = plane_.advance(
+      r, [&]() -> const Graph& { return adversary_.broadcast_round(view); });
   metrics_.tc += diff.inserted.size();
   metrics_.deletions += diff.removed.size();
+  const RoundGraphView& csr = plane_.view();
 
   // Per-recipient inbox under the fault plane: a crashed recipient receives
   // nothing; each (broadcaster, recipient) edge rolls one position-keyed
@@ -135,14 +133,14 @@ Round BroadcastEngine::step() {
   // position-keyed fates, so a probed faulty run delivers exactly what the
   // unprobed one does.
   const bool probe_counting = telemetry_.probe != nullptr && fault_active_;
-  const auto build_inbox = [this, r, probe_counting](
+  const auto build_inbox = [this, r, probe_counting, &csr](
                                NodeId v, std::vector<TokenId>& inbox,
                                std::uint64_t& dropped,
                                std::uint64_t& duplicated) {
     inbox.clear();
     if (fault_active_ && !faults_->is_live(v)) {  // crashed: deaf
       if (probe_counting) {
-        for (const NodeId u : view_.neighbors(v)) {
+        for (const NodeId u : csr.neighbors(v)) {
           if (intents_[u] != kNoToken) ++dropped;
         }
       }
@@ -150,12 +148,12 @@ Round BroadcastEngine::step() {
     }
     const bool delivery_faults =
         fault_active_ && faults_->has_delivery_faults();
-    for (const NodeId u : view_.neighbors(v)) {
+    for (const NodeId u : csr.neighbors(v)) {
       const TokenId t = intents_[u];
       if (t == kNoToken) continue;
       if (delivery_faults) {
         const FaultPlan::Fate fate =
-            faults_->delivery_fate(r, view_.arc_index(u, v), 0);
+            faults_->delivery_fate(r, csr.arc_index(u, v), 0);
         if (fate == FaultPlan::Fate::kDrop) {
           if (probe_counting) ++dropped;
           continue;
@@ -228,10 +226,10 @@ Round BroadcastEngine::step() {
 
   metrics_.rounds = r;
   if (telemetry_.probe != nullptr) {
-    probe_edges_ = g.num_edges();
+    probe_edges_ = csr.num_edges();
     probe_observe(r, probe_edges_, /*flush=*/false);
   }
-  if (hook_) hook_(r, g, metrics_);
+  if (hook_) hook_(r, plane_.graph(), metrics_);
   return r;
 }
 

@@ -23,9 +23,8 @@
 #include "adversary/adversary.hpp"
 #include "common/knowledge_set.hpp"
 #include "common/types.hpp"
-#include "graph/connectivity.hpp"
+#include "engine/graph_plane.hpp"
 #include "graph/dynamic_tracker.hpp"
-#include "graph/round_view.hpp"
 #include "metrics/accounting.hpp"
 #include "metrics/learning_log.hpp"
 #include "telemetry/telemetry.hpp"
@@ -185,8 +184,7 @@ class BroadcastEngine {
   std::vector<TokenId> intents_;       // scratch: i_v(r)
   std::vector<TokenId> inbox_scratch_; // scratch: per-node deliveries
   std::vector<Shard> shards_;          // scratch: sharded-path counters
-  RoundGraphView view_;                // scratch: CSR snapshot of G_r
-  ConnectivityChecker connectivity_;   // scratch: BFS buffers for the G_r check
+  RoundGraphPlane plane_;              // G_r: CSR view, checks, tracker
 };
 
 }  // namespace dyngossip

@@ -1,0 +1,97 @@
+// The round graph plane: one shared per-round graph step for all engines.
+//
+// Every engine does the same thing with the round graph G_r the adversary
+// hands it: snapshot it into a CSR RoundGraphView, verify the model's
+// connectivity assumption, and advance the DynamicGraphTracker (TC,
+// deletions, insertion ages).  Doing that from scratch costs O(n + m)
+// several times a round, although a churn schedule changes only O(churn)
+// edges.  The plane absorbs the change instead of re-deriving it:
+//
+//   - Patch path.  When G_r is the same Graph identity as G_{r-1} and its
+//     edit journal still reaches back to the version the plane last saw,
+//     the journal is normalised into the round's net sorted GraphDiff (an
+//     edge cut and re-added within the round cancels, exactly as the full
+//     merge treats it), the view is patched in place, and the diff is
+//     applied to the tracker.
+//   - Rebuild path.  Otherwise — round 1, a different or reassigned graph
+//     object (fresh resampling, the star/path/lb/scripted/smoothed
+//     schedules), a tracker another plane advanced, a reset journal — the
+//     view is rebuilt and the tracker merges the full edge set.
+//
+// Both paths produce the same view (canonical arc numbering, see
+// round_view.hpp) and the same diff, so payloads are byte-identical either
+// way.  Connectivity is checked once: the plane skips its BFS when the graph
+// carries a current verdict from a connectivity helper (the churn
+// adversaries check their own graph before repairing it), or when a patch
+// removes no edge from the previous, already verified, round graph.
+#pragma once
+
+#include <cstdint>
+#include <vector>
+
+#include "common/types.hpp"
+#include "graph/connectivity.hpp"
+#include "graph/dynamic_tracker.hpp"
+#include "graph/graph.hpp"
+#include "graph/round_view.hpp"
+#include "telemetry/timeline.hpp"
+
+namespace dyngossip {
+
+class RoundGraphPlane {
+ public:
+  /// Plane feeding `tracker`, which must outlive it (a tracker may be
+  /// shared by consecutive engines; a plane that did not ingest the
+  /// tracker's last round rebuilds).  `timeline` (nullable) receives one
+  /// "adversary" and one "graph_plane" span per round.
+  explicit RoundGraphPlane(DynamicGraphTracker& tracker,
+                           TimelineRecorder* timeline = nullptr)
+      : tracker_(tracker), timeline_(timeline) {}
+
+  /// One round: asks `next_graph()` for G_r (the adversary step), then
+  /// ingests it.  Returns the round's diff (valid until the next round).
+  template <typename NextGraph>
+  const GraphDiff& advance(Round r, NextGraph&& next_graph) {
+    const Graph* g = nullptr;
+    {
+      const TimelineSpan span(timeline_, "adversary", "phase");
+      g = &next_graph();
+    }
+    const TimelineSpan span(timeline_, "graph_plane", "phase");
+    return ingest(*g, r);
+  }
+
+  /// Ingests G_r without timing the adversary: patches or rebuilds the
+  /// view, checks connectivity (aborting on a disconnected G_r) and
+  /// advances the tracker.
+  const GraphDiff& ingest(const Graph& g, Round r);
+
+  /// CSR snapshot of the last ingested round graph.
+  [[nodiscard]] const RoundGraphView& view() const noexcept { return view_; }
+
+  /// The last ingested round graph (adversary-owned; valid until the next
+  /// adversary call).
+  [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
+
+  /// Rounds ingested by the patch path so far (the rest were rebuilds).
+  [[nodiscard]] std::uint64_t patched_rounds() const noexcept { return patched_; }
+
+ private:
+  /// Normalises the journal entries into the net sorted diff_; false when
+  /// the journal cannot serve this round (the caller rebuilds).
+  bool net_diff(const Graph& g);
+
+  DynamicGraphTracker& tracker_;
+  TimelineRecorder* timeline_;
+  RoundGraphView view_;
+  ConnectivityChecker connectivity_;
+  const Graph* graph_ = nullptr;
+  std::uint64_t identity_ = 0;  ///< identity of the graph behind view_
+  std::uint64_t version_ = 0;   ///< its version when view_ was last synced
+  Round round_ = 0;             ///< last round ingested by this plane
+  std::uint64_t patched_ = 0;
+  GraphDiff diff_;                      ///< this round's net diff (patch path)
+  std::vector<EdgeKey> edit_scratch_;   ///< journal entries, sorted
+};
+
+}  // namespace dyngossip

@@ -20,6 +20,10 @@ UnicastEngine::UnicastEngine(std::vector<std::unique_ptr<UnicastAlgorithm>> node
       adversary_(adversary),
       knowledge_(std::move(initial_knowledge)),
       k_(k),
+      owned_tracker_(opts.tracker != nullptr
+                         ? nullptr
+                         : std::make_unique<DynamicGraphTracker>(nodes_.size())),
+      tracker_(opts.tracker != nullptr ? opts.tracker : owned_tracker_.get()),
       log_(opts.record_learning_events),
       start_offset_(opts.start_round - 1),
       round_(opts.start_round - 1),
@@ -31,7 +35,7 @@ UnicastEngine::UnicastEngine(std::vector<std::unique_ptr<UnicastAlgorithm>> node
       fault_amnesia_(fault_active_ && opts.faults->amnesia()),
       run_timeout_seconds_(opts.run_timeout_seconds),
       telemetry_(opts.telemetry),
-      prev_graph_(0) {
+      plane_(*tracker_, opts.telemetry.timeline) {
   DG_CHECK(!nodes_.empty());
   DG_CHECK(nodes_.size() == knowledge_.size());
   DG_CHECK(adversary_.num_nodes() == nodes_.size());
@@ -40,16 +44,8 @@ UnicastEngine::UnicastEngine(std::vector<std::unique_ptr<UnicastAlgorithm>> node
     DG_CHECK(kn.size() == k_);
     if (kn.all()) ++complete_nodes_;
   }
-  if (opts.tracker != nullptr) {
-    tracker_ = opts.tracker;
-    DG_CHECK(tracker_->num_nodes() == nodes_.size());
-    DG_CHECK(tracker_->rounds() == round_);
-  } else {
-    DG_CHECK(opts.start_round == 1);
-    owned_tracker_ = std::make_unique<DynamicGraphTracker>(nodes_.size());
-    tracker_ = owned_tracker_.get();
-  }
-  prev_graph_ = Graph(nodes_.size());  // G_{start-1} as seen by the adversary view
+  DG_CHECK(tracker_->num_nodes() == nodes_.size());
+  DG_CHECK(tracker_->rounds() == round_);
 }
 
 std::size_t UnicastEngine::plan_shards() const noexcept {
@@ -67,7 +63,7 @@ void UnicastEngine::validate_sent(NodeId v, std::vector<SentRecord>& sink,
   for (std::size_t i = mark; i < sink.size(); ++i) {
     const SentRecord& rec = sink[i];
     DG_CHECK(rec.to < n && rec.to != v);
-    const std::size_t arc = view_.arc_index(v, rec.to);
+    const std::size_t arc = plane_.view().arc_index(v, rec.to);
     DG_CHECK(arc != kNoArc);  // may only address current neighbors
     // Token-forwarding: only held tokens may be shipped.
     if (rec.msg.type == MsgType::kToken) {
@@ -104,7 +100,7 @@ void UnicastEngine::send_phase_sharded(Round r, std::size_t shards) {
     const auto hi = static_cast<NodeId>(std::min(n, (s + 1) * chunk));
     for (NodeId v = lo; v < hi; ++v) {
       if (fault_active_ && !faults_->is_live(v)) continue;  // crashed: silent
-      const std::span<const NodeId> neigh = view_.neighbors(v);
+      const std::span<const NodeId> neigh = plane_.view().neighbors(v);
       Outbox out(v, sh.traffic);
       const std::size_t mark = sh.traffic.size();
       nodes_[v]->send(r, neigh, out);
@@ -203,19 +199,16 @@ Round UnicastEngine::step() {
 
   // 1. Adversary fixes G_r with full visibility of state and history.  The
   // returned reference is adversary-owned and stays valid through the round;
-  // the engine snapshots it into the reusable CSR view.
+  // the graph plane absorbs it into the reusable CSR view.
   UnicastRoundView view;
   view.round = r;
-  view.prev_graph = &prev_graph_;
   view.prev_messages = &prev_messages_;
   view.knowledge = &knowledge_;
-  const Graph& g = adversary_.unicast_round(view);
-  DG_CHECK(g.num_nodes() == n);
-  view_.rebuild(g);
-  DG_CHECK(connectivity_.is_connected(view_));
-  const GraphDiff& diff = tracker_->advance(view_, r);
+  const GraphDiff& diff = plane_.advance(
+      r, [&]() -> const Graph& { return adversary_.unicast_round(view); });
   metrics_.tc += diff.inserted.size();
   metrics_.deletions += diff.removed.size();
+  const RoundGraphView& csr = plane_.view();
 
   const std::size_t shards = plan_shards();
 
@@ -224,14 +217,14 @@ Round UnicastEngine::step() {
   // payloads.  Sharded: per-shard outboxes, merged in node order.
   {
     const TimelineSpan span(telemetry_.timeline, "send_phase", "phase");
-    arc_budget_.assign(view_.num_arcs(), 0);
+    arc_budget_.assign(csr.num_arcs(), 0);
     if (shards > 1) {
       send_phase_sharded(r, shards);
     } else {
       traffic_.clear();
       for (NodeId v = 0; v < n; ++v) {
         if (fault_active_ && !faults_->is_live(v)) continue;  // crashed: silent
-        const std::span<const NodeId> neigh = view_.neighbors(v);
+        const std::span<const NodeId> neigh = csr.neighbors(v);
         Outbox out(v, traffic_);
         const std::size_t mark = traffic_.size();
         nodes_[v]->send(r, neigh, out);
@@ -248,7 +241,7 @@ Round UnicastEngine::step() {
   if (fault_active_) {
     fate_.assign(traffic_.size(), 0);
     const bool delivery_faults = faults_->has_delivery_faults();
-    if (delivery_faults) arc_seq_.assign(view_.num_arcs(), 0);
+    if (delivery_faults) arc_seq_.assign(csr.num_arcs(), 0);
     for (std::size_t i = 0; i < traffic_.size(); ++i) {
       const SentRecord& rec = traffic_[i];
       if (!faults_->is_live(rec.to)) {
@@ -256,7 +249,7 @@ Round UnicastEngine::step() {
         continue;
       }
       if (!delivery_faults) continue;
-      const std::size_t arc = view_.arc_index(rec.from, rec.to);
+      const std::size_t arc = csr.arc_index(rec.from, rec.to);
       fate_[i] = static_cast<std::uint8_t>(
           faults_->delivery_fate(r, arc, arc_seq_[arc]++));
     }
@@ -310,14 +303,12 @@ Round UnicastEngine::step() {
 
   metrics_.rounds = r - start_offset_;  // rounds executed by THIS engine/phase
   if (telemetry_.probe != nullptr) {
-    probe_edges_ = g.num_edges();
+    probe_edges_ = csr.num_edges();
     probe_observe(r, probe_edges_, /*flush=*/false);
   }
-  if (hook_) hook_(r, g, metrics_);
-  // Swap (not move) so both buffers recycle; copy-assignment into the
-  // retained previous graph reuses its adjacency capacity.
+  if (hook_) hook_(r, plane_.graph(), metrics_);
+  // Swap (not move) so both buffers recycle.
   std::swap(prev_messages_, traffic_);
-  prev_graph_ = g;
   return r;
 }
 

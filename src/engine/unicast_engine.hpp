@@ -26,10 +26,9 @@
 #include "adversary/adversary.hpp"
 #include "common/knowledge_set.hpp"
 #include "common/types.hpp"
+#include "engine/graph_plane.hpp"
 #include "engine/message.hpp"
-#include "graph/connectivity.hpp"
 #include "graph/dynamic_tracker.hpp"
-#include "graph/round_view.hpp"
 #include "metrics/accounting.hpp"
 #include "metrics/learning_log.hpp"
 #include "telemetry/telemetry.hpp"
@@ -251,11 +250,9 @@ class UnicastEngine {
   std::uint64_t probe_duplicated_ = 0;
   std::uint64_t probe_edges_ = 0;
   RoundHook hook_;
-  Graph prev_graph_;
   std::vector<SentRecord> prev_messages_;
+  RoundGraphPlane plane_;                 ///< G_r: CSR view, checks, tracker
   // Per-round scratch, reused across rounds (see step()).
-  RoundGraphView view_;                   ///< CSR snapshot of G_r
-  ConnectivityChecker connectivity_;      ///< BFS buffers for the G_r check
   std::vector<SentRecord> traffic_;       ///< round-r records (swapped into prev)
   std::vector<std::uint32_t> arc_budget_; ///< payload counts per directed arc
   // Fault-path scratch (touched only when fault_active_), reused across

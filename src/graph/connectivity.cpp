@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "common/disjoint_set.hpp"
 
@@ -25,35 +26,137 @@ ComponentInfo connected_components(const Graph& g) {
     }
     info.labels[v] = root_to_label[root];
   }
+  g.memo_connected(info.count <= 1);
   return info;
 }
 
 bool is_connected(const Graph& g) {
+  if (const std::optional<bool> memo = g.connectivity_verdict()) return *memo;
   if (g.num_nodes() <= 1) return true;
-  return connected_components(g).count == 1;
+  return connected_components(g).count == 1;  // memoises the verdict
 }
 
-bool ConnectivityChecker::is_connected(const RoundGraphView& view) {
-  const std::size_t n = view.num_nodes();
-  if (n <= 1) return true;
-  visited_.assign(n, 0);
+template <typename Neighbors>
+bool ConnectivityChecker::reaches_all(std::size_t n, Neighbors&& neighbors) {
+  if (n <= 1) {
+    parent_.assign(n, 0);
+    return true;
+  }
+  parent_.assign(n, kNoNode);
   frontier_.clear();
   frontier_.reserve(n);
-  visited_[0] = 1;
+  parent_[0] = 0;
   frontier_.push_back(0);
-  std::size_t reached = 1;
   // The frontier vector doubles as the BFS queue: elements are appended and
   // consumed by index, never erased, so the buffer is reusable as-is.
   for (std::size_t head = 0; head < frontier_.size(); ++head) {
-    for (const NodeId w : view.neighbors(frontier_[head])) {
-      if (visited_[w] == 0) {
-        visited_[w] = 1;
-        ++reached;
+    const NodeId v = frontier_[head];
+    for (const NodeId w : neighbors(v)) {
+      if (parent_[w] == kNoNode) {
+        parent_[w] = v;
         frontier_.push_back(w);
       }
     }
   }
-  return reached == n;
+  return frontier_.size() == n;
+}
+
+bool ConnectivityChecker::is_connected(const RoundGraphView& view) {
+  tree_valid_ = false;  // parent_ now spans the view, not a Graph
+  return reaches_all(view.num_nodes(),
+                     [&view](NodeId v) { return view.neighbors(v); });
+}
+
+bool ConnectivityChecker::is_connected(const Graph& g) {
+  if (const std::optional<bool> memo = g.connectivity_verdict()) return *memo;
+  std::optional<std::span<const EdgeKey>> edits;
+  if (tree_valid_ && g.identity() == identity_) edits = g.edits_since(version_);
+  const bool connected =
+      edits ? respan(g, *edits)
+            : reaches_all(g.num_nodes(), [&g](NodeId v) { return g.neighbors(v); });
+  tree_valid_ = connected;
+  identity_ = g.identity();
+  version_ = g.watch();
+  g.memo_connected(connected);
+  return connected;
+}
+
+bool ConnectivityChecker::respan(const Graph& g, std::span<const EdgeKey> edits) {
+  const std::size_t n = g.num_nodes();
+  // 1. A removed tree edge detaches the subtree below it.  label_ marks the
+  //    roots of the detached subtrees with themselves.
+  label_.assign(n, kNoNode);
+  detached_.clear();
+  for (const EdgeKey key : edits) {
+    const auto [a, b] = edge_endpoints(key);
+    const NodeId child = (a != 0 && parent_[a] == b)   ? a
+                         : (b != 0 && parent_[b] == a) ? b
+                                                       : kNoNode;
+    if (child == kNoNode || label_[child] == child || g.has_edge(a, b)) continue;
+    label_[child] = child;
+    detached_.push_back(child);
+  }
+  if (detached_.empty()) return true;  // every tree edge is still there
+
+  // 2. Label every node with its nearest detached ancestor-or-self, or 0
+  //    for the part still hanging off the root; chain each detached
+  //    subtree's members from its root through next_member_.
+  label_[0] = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    frontier_.clear();
+    NodeId u = v;
+    while (label_[u] == kNoNode) {
+      frontier_.push_back(u);
+      u = parent_[u];
+    }
+    for (const NodeId x : frontier_) label_[x] = label_[u];
+  }
+  next_member_.assign(n, kNoNode);
+  for (NodeId v = 0; v < n; ++v) {
+    const NodeId root = label_[v];
+    if (root != 0 && root != v) {
+      next_member_[v] = next_member_[root];
+      next_member_[root] = v;
+    }
+  }
+
+  // 3. Re-attach: a subtree with a member adjacent to the attached part
+  //    re-roots its tree path at that member and hangs it there.  Repeat
+  //    while that makes progress (a subtree may reach the root's part only
+  //    through another).
+  std::size_t attached = 0;
+  for (bool progress = true; progress;) {
+    progress = false;
+    for (NodeId& root : detached_) {
+      if (root == kNoNode) continue;
+      NodeId member = kNoNode;
+      NodeId anchor = kNoNode;
+      for (NodeId m = root; m != kNoNode && anchor == kNoNode; m = next_member_[m]) {
+        for (const NodeId w : g.neighbors(m)) {
+          if (label_[w] == 0) {
+            member = m;
+            anchor = w;
+            break;
+          }
+        }
+      }
+      if (anchor == kNoNode) continue;
+      // Reverse the tree path member -> root, then hang member on anchor.
+      NodeId below = anchor;
+      for (NodeId cur = member;;) {
+        const NodeId up = parent_[cur];
+        parent_[cur] = below;
+        if (cur == root) break;
+        below = cur;
+        cur = up;
+      }
+      for (NodeId m = root; m != kNoNode; m = next_member_[m]) label_[m] = 0;
+      root = kNoNode;
+      ++attached;
+      progress = true;
+    }
+  }
+  return attached == detached_.size();
 }
 
 std::vector<EdgeKey> connect_components(Graph& g, Rng& rng) {
@@ -77,6 +180,7 @@ std::vector<EdgeKey> connect_components(Graph& g, Rng& rng) {
     DG_CHECK(fresh);
     added.push_back(edge_key(a, b));
   }
+  g.memo_connected(true);  // the chain joined every component
   return added;
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -28,29 +29,66 @@ struct ComponentInfo {
   std::vector<NodeId> representatives;
 };
 
+// The Graph-based helpers below are the only code that sets a Graph's
+// memoised connectivity verdict (Graph::connectivity_verdict), and only
+// after they have established it; is_connected and the checker return a
+// current verdict without re-checking.
+
 /// Computes connected components (union-find based).
 [[nodiscard]] ComponentInfo connected_components(const Graph& g);
 
 /// True iff g is connected (vacuously true for n <= 1).
 [[nodiscard]] bool is_connected(const Graph& g);
 
-/// Reusable-buffer connectivity check for the per-round engine path: one
-/// BFS over the CSR snapshot, allocation-free once the buffers have grown
-/// to the node count.  Each engine owns one checker and calls it every
-/// round (the model requires every G_r to be connected).
+/// Reusable-buffer connectivity check: one BFS, allocation-free once the
+/// buffers have grown to the node count.  The round graph plane checks its
+/// CSR snapshot with one; the churn adversaries check their working Graph
+/// with one before deciding whether a repair is needed.
+///
+/// Checking the same Graph again is incremental: the checker keeps the BFS
+/// spanning tree of the last graph it found connected and reads the graph's
+/// edit journal (Graph::watch / edits_since).  If no tree edge was removed
+/// since, the tree still spans the graph.  Otherwise only the detached
+/// subtrees are re-attached, by scanning their own members' neighbors for
+/// an edge back to the rest; a subtree that cannot be re-attached is a
+/// disconnected graph.  Any other case runs the full BFS.
 class ConnectivityChecker {
  public:
   /// True iff the snapshot's graph is connected (vacuously true, n <= 1).
   [[nodiscard]] bool is_connected(const RoundGraphView& view);
 
+  /// True iff g is connected (vacuously true, n <= 1); memoises the verdict
+  /// on g.
+  [[nodiscard]] bool is_connected(const Graph& g);
+
  private:
+  /// BFS from node 0 over `neighbors(v)`, recording the tree in parent_;
+  /// true iff all n nodes are reached.
+  template <typename Neighbors>
+  bool reaches_all(std::size_t n, Neighbors&& neighbors);
+
+  /// Repairs parent_ (a spanning tree of g before `edits`) into a spanning
+  /// tree of g; false when g is disconnected.
+  bool respan(const Graph& g, std::span<const EdgeKey> edits);
+
   std::vector<NodeId> frontier_;
-  std::vector<std::uint8_t> visited_;
+  /// BFS tree (parent_[0] == 0); on the Graph path, the spanning tree of
+  /// the graph `identity_` at `version_` while tree_valid_.
+  std::vector<NodeId> parent_;
+  bool tree_valid_ = false;
+  std::uint64_t identity_ = 0;
+  std::uint64_t version_ = 0;
+  // respan() scratch: per node, the root of its detached subtree (0: the
+  // root's part); per detached root, the next member of its subtree.
+  std::vector<NodeId> label_;
+  std::vector<NodeId> next_member_;
+  std::vector<NodeId> detached_;  ///< roots of the detached subtrees
 };
 
 /// Adds the minimum number of edges (#components - 1) to make g connected.
 /// Components are joined in a chain over uniformly random representatives so
-/// repeated repairs do not bias the topology.  Returns the added edges.
+/// repeated repairs do not bias the topology.  Draws from `rng` only when g
+/// has more than one component.  Returns the added edges.
 std::vector<EdgeKey> connect_components(Graph& g, Rng& rng);
 
 /// BFS spanning tree rooted at `root`.

@@ -25,11 +25,7 @@ void DynamicGraphTracker::merge_round(const std::vector<EdgeKey>& edges, Round r
   while (i < live_.size() || j < edges.size()) {
     if (j == edges.size() ||
         (i < live_.size() && live_[i].key < edges[j])) {
-      const Round lifetime = r - live_[i].inserted;  // present [inserted, r-1]
-      min_lifetime_ = (min_lifetime_ == kNoRound) ? lifetime
-                                                  : std::min(min_lifetime_, lifetime);
-      diff_.removed.push_back(live_[i].key);
-      ++deletions_;
+      retire(live_[i], r);
       ++i;
     } else if (i == live_.size() || edges[j] < live_[i].key) {
       diff_.inserted.push_back(edges[j]);
@@ -43,6 +39,54 @@ void DynamicGraphTracker::merge_round(const std::vector<EdgeKey>& edges, Round r
     }
   }
   std::swap(live_, live_scratch_);
+}
+
+void DynamicGraphTracker::retire(const LiveEdge& edge, Round r) {
+  const Round lifetime = r - edge.inserted;  // present [inserted, r-1]
+  min_lifetime_ =
+      (min_lifetime_ == kNoRound) ? lifetime : std::min(min_lifetime_, lifetime);
+  diff_.removed.push_back(edge.key);
+  ++deletions_;
+}
+
+const GraphDiff& DynamicGraphTracker::apply(const GraphDiff& diff, Round r) {
+  DG_CHECK(r == last_round_ + 1);
+  last_round_ = r;
+  diff_.inserted.clear();
+  diff_.removed.clear();
+  if (diff.inserted.empty() && diff.removed.empty()) return diff_;
+
+  // Walk the changed keys in key order.  Each one is located by a binary
+  // search from the current position; the untouched run before it is
+  // block-copied, a removal drops its entry, an insertion adds {key, r}.
+  live_scratch_.clear();
+  live_scratch_.reserve(live_.size() + diff.inserted.size());
+  const auto key_less = [](const LiveEdge& e, EdgeKey k) { return e.key < k; };
+  auto pos = live_.begin();
+  std::size_t a = 0;  // over diff.inserted
+  std::size_t b = 0;  // over diff.removed
+  while (a < diff.inserted.size() || b < diff.removed.size()) {
+    const bool insert = b == diff.removed.size() ||
+                        (a < diff.inserted.size() && diff.inserted[a] < diff.removed[b]);
+    const EdgeKey key = insert ? diff.inserted[a++] : diff.removed[b++];
+    const auto at = std::lower_bound(pos, live_.end(), key, key_less);
+    live_scratch_.insert(live_scratch_.end(), pos, at);
+    pos = at;
+    const bool live = at != live_.end() && at->key == key;
+    if (insert) {
+      DG_CHECK(!live);
+      diff_.inserted.push_back(key);
+      ++tc_;
+      live_scratch_.push_back({key, r});
+    } else {
+      DG_CHECK(live);
+      retire(*at, r);
+      ++pos;
+    }
+  }
+  live_scratch_.insert(live_scratch_.end(), pos, live_.end());
+  std::swap(live_, live_scratch_);
+  return diff_;
 }
 
 GraphDiff DynamicGraphTracker::advance(const Graph& g, Round r) {

@@ -11,7 +11,10 @@
 // Storage is a sorted flat array of (edge, insertion round) pairs: each
 // round's diff is one linear merge against the snapshot's canonical edge
 // order, reusing scratch buffers — no hashing and no steady-state
-// allocation on the engine hot path.
+// allocation on the engine hot path.  When the caller already knows the
+// round's net diff (the round graph plane reads it off the Graph's edit
+// journal), apply() skips the full edge-set merge: it binary-searches the
+// d changed keys and block-copies the untouched runs between them.
 #pragma once
 
 #include <vector>
@@ -45,6 +48,12 @@ class DynamicGraphTracker {
   /// reference to an internally reused diff (valid until the next advance).
   const GraphDiff& advance(const RoundGraphView& view, Round r);
 
+  /// Diff-fed variant: ingests round r as the previous round's edge set
+  /// changed by `diff` (sorted; inserted keys absent, removed keys live —
+  /// checked).  Returns the same diff, with the same bookkeeping, that
+  /// advance() on the resulting graph would.
+  const GraphDiff& apply(const GraphDiff& diff, Round r);
+
   /// Σ_r |E+_r| so far — the adversary's topological-change budget TC(E).
   [[nodiscard]] std::uint64_t topological_changes() const noexcept { return tc_; }
 
@@ -77,6 +86,9 @@ class DynamicGraphTracker {
   /// Shared merge step: `edges` must be the new round's canonical sorted
   /// edge list.
   void merge_round(const std::vector<EdgeKey>& edges, Round r);
+
+  /// Accounts one removal of `edge` at round r (deletions, min lifetime).
+  void retire(const LiveEdge& edge, Round r);
 
   std::size_t n_;
   std::vector<LiveEdge> live_;          ///< sorted by key

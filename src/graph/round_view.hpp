@@ -15,6 +15,14 @@
 // The sortedness falls out of the rebuild for free: scanning source nodes
 // in increasing order appends each target list in increasing source order,
 // so no comparison sort runs anywhere.
+//
+// patch() is the incremental alternative to rebuild(): it applies one
+// round's net edge diff in place.  The layout stays the canonical one —
+// offsets are the prefix sums of the (sorted-block) degrees, exactly what a
+// rebuild computes — so every arc index, arc_begin and neighbor span after a
+// patch equals the rebuild's.  Consumers key position hashes on arc indices
+// (FaultPlan::delivery_fate), so this equality is what keeps payloads
+// byte-identical whichever path built the view.
 #pragma once
 
 #include <span>
@@ -42,6 +50,14 @@ class RoundGraphView {
   /// Rebuilds the snapshot from g in O(n + m), reusing internal buffers —
   /// allocation-free once buffers have grown to the high-water mark.
   void rebuild(const Graph& g);
+
+  /// Applies a net edge diff in place: `inserted` must be sorted and absent
+  /// from the view, `removed` sorted and present (GraphDiff's contract).
+  /// The result equals rebuild() of the patched graph.  O(d log d) for the
+  /// d changed edges, plus block copies of the arc array between them and
+  /// an O(n) offset sweep.
+  void patch(const std::vector<EdgeKey>& inserted,
+             const std::vector<EdgeKey>& removed);
 
   /// Number of nodes.
   [[nodiscard]] std::size_t num_nodes() const noexcept { return num_nodes_; }
@@ -99,6 +115,12 @@ class RoundGraphView {
   std::vector<std::size_t> offsets_;  ///< n + 1 prefix sums
   std::vector<NodeId> targets_;       ///< 2m targets, sorted per source
   std::vector<std::size_t> cursor_;   ///< rebuild scratch (write positions)
+  // patch() scratch: directed arc edits packed (source << 32 | target) and
+  // the double buffer the patched target array is written into.
+  std::vector<std::uint64_t> arc_inserts_;
+  std::vector<std::uint64_t> arc_removes_;
+  std::vector<std::uint64_t> arc_scratch_;
+  std::vector<NodeId> targets_scratch_;
 };
 
 }  // namespace dyngossip

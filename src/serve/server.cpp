@@ -164,6 +164,18 @@ void SweepService::run_sweep(
         ++hits;
         continue;
       }
+      // An owner stores its row before it leaves inflight_, so a key that
+      // finished between the lookup above and this lock is in the cache by
+      // now: look again (uncounted — the lookup above already counted this
+      // trial) instead of running it a second time.
+      if (cache_ != nullptr) {
+        if (std::optional<CachedResult> hit = cache_->peek(key)) {
+          slot.row = *hit;
+          slot.cached = true;
+          ++hits;
+          continue;
+        }
+      }
       slot.pending = std::make_shared<Pending>();
       slot.pending->key_text = key.canonical_text();
       inflight_[key.digest()] = slot.pending;

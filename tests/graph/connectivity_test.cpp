@@ -102,6 +102,37 @@ TEST(Connectivity, CheckerMatchesUnionFindOracle) {
   }
 }
 
+TEST(Connectivity, IncrementalGraphCheckMatchesUnionFindOracle) {
+  // The same Graph checked round after round: the checker re-spans its
+  // tree from the edit journal.  Cuts of varying size disconnect it now and
+  // then; sometimes the graph is repaired, sometimes left for later rounds.
+  Rng rng(17);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t n = 8 + rng.next_below(40);
+    Graph g = random_connected_with_edges(n, n + rng.next_below(2 * n), rng);
+    ConnectivityChecker checker;
+    for (int round = 0; round < 40; ++round) {
+      const std::size_t cuts = rng.next_below(1 + g.num_edges() / 4);
+      for (std::size_t c = 0; c < cuts; ++c) {
+        const std::vector<EdgeKey> edges = g.sorted_edges();
+        if (edges.empty()) break;
+        const auto [u, v] = edge_endpoints(edges[rng.next_below(edges.size())]);
+        g.remove_edge(u, v);
+        if (rng.bernoulli(0.2)) g.add_edge(u, v);  // cut and re-added
+      }
+      for (std::size_t a = rng.next_below(cuts + 2); a > 0; --a) {
+        const auto u = static_cast<NodeId>(rng.next_below(n));
+        const auto v = static_cast<NodeId>(rng.next_below(n));
+        if (u != v) g.add_edge(u, v);
+      }
+      const Graph oracle = g;  // a copy carries no verdict of g's checks
+      ASSERT_EQ(checker.is_connected(g), connected_components(oracle).count == 1)
+          << "trial " << trial << " round " << round;
+      if (rng.bernoulli(0.5)) connect_components(g, rng);
+    }
+  }
+}
+
 TEST(Connectivity, CheckerTrivialCases) {
   ConnectivityChecker checker;
   EXPECT_TRUE(checker.is_connected(RoundGraphView(Graph(0))));

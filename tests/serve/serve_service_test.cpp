@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "serve/protocol.hpp"
@@ -18,7 +20,9 @@ namespace dyngossip {
 namespace {
 
 std::string fresh_cache_dir(const char* name) {
-  const std::string dir = ::testing::TempDir() + "dg_serve_" + name;
+  // Per-process, so concurrent copies of this suite never share a store.
+  const std::string dir = ::testing::TempDir() + "dg_serve_" + name + "_" +
+                          std::to_string(::getpid());
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -138,6 +142,65 @@ TEST(SweepService, ConcurrentSessionsBothCompleteWithConsistentRows) {
   const double a_hits = parse_line(a_lines[5]).doc.find("hits")->as_number();
   const double b_hits = parse_line(b_lines[5]).doc.find("hits")->as_number();
   EXPECT_EQ(a_hits + b_hits, 4.0) << "each overlapping key computed once";
+}
+
+TEST(SweepService, ConcurrentSessionsComputeEachKeyExactlyOnce) {
+  // N sessions × M repetitions.  Every repetition asks all sessions for the
+  // same fresh keys at once, so the sessions race on each key's first
+  // computation: one owns it, the rest must be served by in-flight dedup or
+  // the cache — including a session that misses the cache just before the
+  // owner stores its row and takes the in-flight lock just after the owner
+  // left it.
+  constexpr std::size_t kSessions = 4;
+  constexpr std::size_t kRepetitions = 6;
+  constexpr std::size_t kTrials = 6;
+  ResultCache cache(fresh_cache_dir("stress"));
+  ThreadPool pool(4);
+  SweepService service(pool, &cache);
+
+  std::vector<std::vector<std::vector<std::string>>> lines(
+      kSessions, std::vector<std::vector<std::string>>(kRepetitions));
+  for (std::size_t rep = 0; rep < kRepetitions; ++rep) {
+    std::vector<std::thread> sessions;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      sessions.emplace_back([&, s, rep] {
+        lines[s][rep] = run_and_collect(service, small_request(kTrials, 1000 + 100 * rep));
+      });
+    }
+    for (std::thread& t : sessions) t.join();
+  }
+
+  double hits = 0.0;
+  double misses = 0.0;
+  std::vector<std::size_t> computed(kRepetitions * kTrials, 0);
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    for (std::size_t rep = 0; rep < kRepetitions; ++rep) {
+      const std::vector<std::string>& out = lines[s][rep];
+      ASSERT_EQ(out.size(), kTrials + 2);
+      const ParsedLine done = parse_line(out.back());
+      ASSERT_EQ(done.type, "done");
+      const double h = done.doc.find("hits")->as_number();
+      const double m = done.doc.find("misses")->as_number();
+      EXPECT_EQ(h + m, static_cast<double>(kTrials)) << "session " << s;
+      hits += h;
+      misses += m;
+      for (std::size_t i = 0; i < kTrials; ++i) {
+        const ParsedLine row = parse_line(out[1 + i]);
+        if (!row.doc.find("cached")->as_bool()) ++computed[rep * kTrials + i];
+        EXPECT_EQ(row.doc.find("checksum")->as_string(),
+                  parse_line(lines[0][rep][1 + i]).doc.find("checksum")->as_string());
+      }
+    }
+  }
+  constexpr std::size_t kRequested = kSessions * kRepetitions * kTrials;
+  EXPECT_EQ(hits + misses, static_cast<double>(kRequested));
+  EXPECT_EQ(misses, static_cast<double>(kRepetitions * kTrials));
+  for (std::size_t key = 0; key < computed.size(); ++key) {
+    EXPECT_EQ(computed[key], 1u) << "key " << key << " computed once";
+  }
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kRequested);
+  EXPECT_EQ(stats.stores, kRepetitions * kTrials);
 }
 
 TEST(SweepService, InvalidRequestEmitsOneErrorLine) {

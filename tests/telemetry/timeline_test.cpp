@@ -3,6 +3,7 @@
 // spans, and a ThreadPool with a timeline attributes queue waits.
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -10,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "adversary/churn.hpp"
+#include "adversary/registry.hpp"
+#include "algo/registry.hpp"
 #include "core/single_source.hpp"
 #include "engine/unicast_engine.hpp"
 #include "sim/runner/json.hpp"
@@ -79,6 +82,40 @@ TEST(Timeline, EngineEmitsRoundAndPhaseSpans) {
   const JsonValue events = JsonValue::parse(os.str());
   EXPECT_GT(count_category(events, "round"), 0u);
   EXPECT_GT(count_category(events, "phase"), 0u);
+}
+
+std::size_t count_name(const JsonValue& events, const char* name) {
+  std::size_t count = 0;
+  for (const JsonValue& e : events.items()) {
+    if (e.find("name")->as_string() == name) ++count;
+  }
+  return count;
+}
+
+TEST(Timeline, EveryEngineSpansTheAdversaryAndTheGraphPlane) {
+  // One "adversary" and one "graph_plane" span per round graph, on the
+  // unicast, broadcast and async engines alike.
+  for (const char* algo : {"single_source", "flooding:", "async_push_pull:"}) {
+    TimelineRecorder recorder;
+    const std::unique_ptr<Adversary> adversary =
+        build_adversary(AdversarySpec::parse("churn:"), 24, 5);
+    AlgoBuildContext ctx;
+    ctx.n = 24;
+    ctx.k = 8;
+    ctx.sources = 1;
+    ctx.seed = 5;
+    ctx.telemetry.timeline = &recorder;
+    (void)run_algo(AlgoSpec::parse(algo), ctx, *adversary);
+
+    std::ostringstream os;
+    recorder.write_json(os);
+    const JsonValue events = JsonValue::parse(os.str());
+    const std::size_t rounds =
+        count_name(events, "round") + count_name(events, "async_round");
+    EXPECT_GT(rounds, 0u) << algo;
+    EXPECT_EQ(count_name(events, "adversary"), rounds) << algo;
+    EXPECT_EQ(count_name(events, "graph_plane"), rounds) << algo;
+  }
 }
 
 TEST(Timeline, ThreadPoolAttributesQueueWaits) {
