@@ -182,24 +182,31 @@ void BM_GraphBuildFromEdges(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphBuildFromEdges)->Arg(1024)->Arg(4096);
 
-/// Drives n churn-varying neighbor lists through one round of the flat
-/// parallel-array classifier (the production path).
+/// Classifies every edge of n nodes for one round from per-arc since rounds
+/// (the production path: the round graph plane serves since, each node
+/// keeps only its per-neighbor learning rounds).
 void BM_ClassifierRound(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(12);
   Graph g = random_connected_with_edges(n, 4 * n, rng);
   RoundGraphView view;
   view.rebuild(g);
+  const std::vector<Round> since(view.num_arcs(), 1);
   std::vector<EdgeClassifier> classifiers(n);
-  Round r = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId w : view.neighbors(v)) {
+      if (rng.bernoulli(0.5)) classifiers[v].note_learning_over(w, 1);
+    }
+  }
+  Round r = 2;
   for (auto _ : state) {
     ++r;
     std::size_t acc = 0;
     for (NodeId v = 0; v < n; ++v) {
       const std::span<const NodeId> neigh = view.neighbors(v);
-      classifiers[v].begin_round(r, neigh);
-      for (std::size_t slot = 0; slot < neigh.size(); ++slot) {
-        acc += static_cast<std::size_t>(classifiers[v].classify_slot(slot));
+      const Round* arc_since = since.data() + view.arc_begin(v);
+      for (std::size_t i = 0; i < neigh.size(); ++i) {
+        acc += static_cast<std::size_t>(classifiers[v].classify(r, neigh[i], arc_since[i]));
       }
     }
     benchmark::DoNotOptimize(acc);

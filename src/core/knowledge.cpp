@@ -6,6 +6,15 @@
 
 namespace dyngossip {
 
+namespace {
+
+/// Orders EdgeClassifier's (neighbor, round) entries by neighbor.
+constexpr auto kByNeighbor = [](const std::pair<NodeId, Round>& e, NodeId x) {
+  return e.first < x;
+};
+
+}  // namespace
+
 const std::pair<NodeId, TokenId>* find_request(const RequestList& list, NodeId w) {
   const auto it = std::lower_bound(
       list.begin(), list.end(), w,
@@ -43,69 +52,30 @@ const char* edge_class_name(EdgeClass c) noexcept {
   return "?";
 }
 
-void EdgeClassifier::begin_round(Round r, std::span<const NodeId> neighbors) {
-  DG_CHECK(r > round_);
-  round_ = r;
-  DG_DCHECK(std::is_sorted(neighbors.begin(), neighbors.end()));
-
-  std::swap(neighbors_, prev_neighbors_);
-  std::swap(inserted_, prev_inserted_);
-  std::swap(contributed_, prev_contributed_);
-  neighbors_.assign(neighbors.begin(), neighbors.end());
-  inserted_.resize(neighbors.size());
-  contributed_.resize(neighbors.size());
-
-  // Linear merge of two sorted lists: surviving edges carry their record,
-  // vanished edges are dropped (a later re-insertion starts fresh,
-  // implementing the "last insertion" semantics), new edges start at r.
-  std::size_t p = 0;
-  for (std::size_t i = 0; i < neighbors_.size(); ++i) {
-    const NodeId w = neighbors_[i];
-    while (p < prev_neighbors_.size() && prev_neighbors_[p] < w) ++p;
-    if (p < prev_neighbors_.size() && prev_neighbors_[p] == w) {
-      inserted_[i] = prev_inserted_[p];
-      contributed_[i] = prev_contributed_[p];
-      ++p;
-    } else {
-      inserted_[i] = r;
-      contributed_[i] = 0;
-    }
-  }
-}
-
-std::size_t EdgeClassifier::slot_of(NodeId w) const {
-  const auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(), w);
-  if (it == neighbors_.end() || *it != w) return kNoSlot;
-  return static_cast<std::size_t>(it - neighbors_.begin());
-}
-
-EdgeClass EdgeClassifier::classify(NodeId w, bool token_arriving_now) const {
-  const std::size_t slot = slot_of(w);
-  DG_CHECK(slot != kNoSlot);
-  return classify_slot(slot, token_arriving_now);
-}
-
-EdgeClass EdgeClassifier::classify_slot(std::size_t slot,
-                                        bool token_arriving_now) const {
-  DG_DCHECK(slot < neighbors_.size());
+EdgeClass EdgeClassifier::classify(Round r, NodeId w, Round since,
+                                   bool token_arriving_now) const {
+  DG_CHECK(since <= r);
   // "New in round r": inserted at the beginning of round r or r-1.
-  if (inserted_[slot] + 1 >= round_) return EdgeClass::kNew;
-  if (contributed_[slot] != 0 || token_arriving_now) return EdgeClass::kContributive;
+  if (since + 1 >= r) return EdgeClass::kNew;
+  if (token_arriving_now || last_learning_over(w) >= since) {
+    return EdgeClass::kContributive;
+  }
   return EdgeClass::kIdle;
 }
 
-void EdgeClassifier::note_learning_over(NodeId w) {
-  const std::size_t slot = slot_of(w);
-  // The sender may already have vanished from our view only if delivery and
-  // removal raced; in this engine delivery happens at the end of the round
-  // the edge was present, so the edge must still be live.
-  DG_CHECK(slot != kNoSlot);
-  contributed_[slot] = 1;
+void EdgeClassifier::note_learning_over(NodeId w, Round r) {
+  const auto it = std::lower_bound(learned_.begin(), learned_.end(), w, kByNeighbor);
+  if (it != learned_.end() && it->first == w) {
+    DG_CHECK(r >= it->second);
+    it->second = r;
+  } else {
+    learned_.insert(it, {w, r});
+  }
 }
 
-Round EdgeClassifier::insertion_round(NodeId w) const {
-  const std::size_t slot = slot_of(w);
-  return slot == kNoSlot ? kNoRound : inserted_[slot];
+Round EdgeClassifier::last_learning_over(NodeId w) const {
+  const auto it = std::lower_bound(learned_.begin(), learned_.end(), w, kByNeighbor);
+  return it != learned_.end() && it->first == w ? it->second : 0;
 }
 
 }  // namespace dyngossip

@@ -12,18 +12,21 @@
 // is what forces the adversary of Lemma 3.2 to delete an idle edge per
 // bridge node in every futile round.
 //
-// EdgeClassifier tracks, per live incident edge, its last insertion round
-// and whether a learning has happened over it since — exactly the local
-// information the paper argues each node can maintain.
-//
-// Storage is a sorted parallel-array keyed by the position in the round's
-// sorted neighbor list (the CSR neighbor slot): begin_round is one linear
-// merge of the previous round's state with the new neighbor span, reusing
-// scratch buffers — no per-round hashing or node allocation.
+// Classification reads two per-edge facts.  The edge's `since` round — the
+// first round of its current unbroken run of presence, as the node has seen
+// it — comes from the engine with the round's neighbor list (the round graph
+// plane maintains it per arc).  The last round a new token was learned over
+// the edge is the node's own record, kept by EdgeClassifier.  The edge is
+//   new          iff since + 1 >= r,
+//   contributive iff not new and (learned >= since or a requested token
+//                arrives over it this round),
+//   idle         otherwise.
+// A learning before `since` belongs to an earlier run of the edge, so a
+// re-inserted edge is new again and its old contribution no longer counts
+// — the "last insertion" wording of the paper.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -54,54 +57,29 @@ void carry_surviving_requests(RequestList& fresh, const RequestList& surviving,
 /// Human-readable class name.
 [[nodiscard]] const char* edge_class_name(EdgeClass c) noexcept;
 
-/// Per-node incident-edge state machine.
+/// Per-node record of the last round a new token was learned over the edge
+/// to each neighbor, and the classification built on it.
 class EdgeClassifier {
  public:
-  /// Sentinel slot for "not a current neighbor".
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
-  /// Ingests round r's sorted neighbor list: newly appeared neighbors get
-  /// a fresh insertion record (a re-inserted edge counts as new again, per
-  /// the "last insertion" wording); vanished neighbors are dropped.
-  void begin_round(Round r, std::span<const NodeId> neighbors);
-
-  /// Classification of the live edge to neighbor w in the current round.
+  /// Classification in round r of the live edge to neighbor w whose
+  /// current run of presence began in round `since` (<= r).
   /// `token_arriving_now` means the node knows a requested token arrives
   /// over this edge this round (counts as a contribution "by the end of
   /// round r").
-  [[nodiscard]] EdgeClass classify(NodeId w, bool token_arriving_now = false) const;
+  [[nodiscard]] EdgeClass classify(Round r, NodeId w, Round since,
+                                   bool token_arriving_now = false) const;
 
-  /// classify by neighbor slot (position of w in this round's sorted
-  /// neighbor list) — the O(1) form for callers already iterating the span.
-  [[nodiscard]] EdgeClass classify_slot(std::size_t slot,
-                                        bool token_arriving_now = false) const;
+  /// Records that a new token was learned over the edge to w at the end of
+  /// round r (call on first-time token receipt).  Rounds never go back.
+  void note_learning_over(NodeId w, Round r);
 
-  /// Records that a new token was learned over the edge to w (call on
-  /// first-time token receipt).
-  void note_learning_over(NodeId w);
-
-  /// Slot of w in the current round's neighbor list, or kNoSlot.
-  [[nodiscard]] std::size_t slot_of(NodeId w) const;
-
-  /// True iff w is a live neighbor this round.
-  [[nodiscard]] bool is_neighbor(NodeId w) const { return slot_of(w) != kNoSlot; }
-
-  /// Last insertion round of the live edge to w (kNoRound if absent).
-  [[nodiscard]] Round insertion_round(NodeId w) const;
-
-  /// Current round (the argument of the last begin_round).
-  [[nodiscard]] Round round() const noexcept { return round_; }
+  /// Last round a new token was learned over the edge to w (0: never).
+  [[nodiscard]] Round last_learning_over(NodeId w) const;
 
  private:
-  // Parallel arrays over the current round's sorted neighbors.
-  std::vector<NodeId> neighbors_;
-  std::vector<Round> inserted_;
-  std::vector<std::uint8_t> contributed_;
-  // Previous round's state (merge source), reused as scratch via swap.
-  std::vector<NodeId> prev_neighbors_;
-  std::vector<Round> prev_inserted_;
-  std::vector<std::uint8_t> prev_contributed_;
-  Round round_ = 0;
+  /// (neighbor, last learning round), sorted by neighbor.  One entry per
+  /// neighbor ever learned from, so at most min(n, k) entries.
+  std::vector<std::pair<NodeId, Round>> learned_;
 };
 
 }  // namespace dyngossip

@@ -37,27 +37,30 @@ void MultiSourceNode::account_token(TokenId t) {
   if (ps.held == cfg_.space->count_of(x)) ps.complete = true;
 }
 
-void MultiSourceNode::send(Round r, std::span<const NodeId> neighbors, Outbox& out) {
-  classifier_.begin_round(r, neighbors);
+void MultiSourceNode::send(Round r, NeighborView neighbors, Outbox& out) {
+  const std::span<const NodeId> ids = neighbors.ids;
   const std::size_t s = per_source_.size();
+  sent_any_ = false;
 
   // Task 1 — completeness announcements: per edge, the minimum complete
   // source this neighbor has not yet been informed about.
-  for (const NodeId w : neighbors) {
+  for (const NodeId w : ids) {
     for (std::size_t x = 0; x < s; ++x) {
       if (!per_source_[x].complete || per_source_[x].informed.test(w)) continue;
       out.send(w, Message::completeness(cfg_.space->source_node(x),
                                         cfg_.space->count_of(x)));
       per_source_[x].informed.set(w);
+      sent_any_ = true;
       break;  // one announcement per edge per round
     }
   }
 
   // Task 2 — answer last round's requests over surviving edges.
   for (const auto& [requester, token] : pending_answers_) {
-    if (std::binary_search(neighbors.begin(), neighbors.end(), requester)) {
+    if (std::binary_search(ids.begin(), ids.end(), requester)) {
       const std::size_t x = cfg_.space->source_of_token(token);
       out.send(requester, Message::token_msg(token, cfg_.space->source_node(x)));
+      sent_any_ = true;
     }
   }
   pending_answers_.clear();
@@ -77,7 +80,7 @@ void MultiSourceNode::send(Round r, std::span<const NodeId> neighbors, Outbox& o
   // surviving_ stays sorted because sent_requests_ is.
   surviving_.clear();
   for (const auto& [w, tok] : sent_requests_) {
-    if (std::binary_search(neighbors.begin(), neighbors.end(), w)) {
+    if (std::binary_search(ids.begin(), ids.end(), w)) {
       in_flight_.set(tok);
       surviving_.push_back({w, tok});
     }
@@ -99,10 +102,11 @@ void MultiSourceNode::send(Round r, std::span<const NodeId> neighbors, Outbox& o
       return pos < pool.size() ? pool[pos++] : kNoToken;
     };
     for (auto& list : by_class_) list.clear();
-    for (const NodeId w : neighbors) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const NodeId w = ids[i];
       if (!ps.announcers.test(w)) continue;
       const bool arriving = find_request(surviving_, w) != nullptr;
-      const EdgeClass c = classifier_.classify(w, arriving);
+      const EdgeClass c = classifier_.classify(r, w, neighbors.since[i], arriving);
       by_class_[static_cast<std::size_t>(c)].push_back(w);
     }
     const EdgeClass priority[3] = {EdgeClass::kNew, EdgeClass::kIdle,
@@ -112,6 +116,7 @@ void MultiSourceNode::send(Round r, std::span<const NodeId> neighbors, Outbox& o
         const TokenId b = next_missing();
         if (b == kNoToken) break;
         out.send(w, Message::request(b, cfg_.space->source_node(target)));
+        sent_any_ = true;
         next_requests_.push_back({w, b});
         ++requests_by_class_[static_cast<std::size_t>(c)];
       }
@@ -124,13 +129,13 @@ void MultiSourceNode::send(Round r, std::span<const NodeId> neighbors, Outbox& o
   std::swap(sent_requests_, next_requests_);
 }
 
-void MultiSourceNode::on_receive(Round /*r*/, NodeId from, const Message& m) {
+void MultiSourceNode::on_receive(Round r, NodeId from, const Message& m) {
   switch (m.type) {
     case MsgType::kToken: {
       DG_CHECK(m.token < tokens_.size());
       if (!tokens_.test(m.token)) {
         account_token(m.token);
-        classifier_.note_learning_over(from);
+        classifier_.note_learning_over(from, r);
       }
       const auto* entry = find_request(sent_requests_, from);
       if (entry != nullptr && entry->second == m.token) {

@@ -42,8 +42,14 @@ class MultiSourceNode final : public UnicastAlgorithm {
   MultiSourceNode(NodeId self, const MultiSourceConfig& cfg,
                   const KnowledgeSet& initial_tokens);
 
-  void send(Round r, std::span<const NodeId> neighbors, Outbox& out) override;
+  void send(Round r, NeighborView neighbors, Outbox& out) override;
   void on_receive(Round r, NodeId from, const Message& m) override;
+
+  /// Nothing to do until something changes: the last send() queued nothing
+  /// and no request is outstanding.
+  [[nodiscard]] bool quiescent() const override {
+    return !sent_any_ && sent_requests_.empty();
+  }
 
   /// True iff v holds every token of source index x.
   [[nodiscard]] bool complete_wrt(std::size_t x) const {
@@ -92,6 +98,7 @@ class MultiSourceNode final : public UnicastAlgorithm {
   RequestList sent_requests_;          ///< sorted by neighbor id
   std::vector<std::pair<NodeId, TokenId>> pending_answers_;
   std::uint64_t requests_by_class_[3] = {0, 0, 0};
+  bool sent_any_ = false;  ///< the last send() queued a payload
   // Per-round scratch, reused across rounds (send() leaves in_flight_ empty).
   RequestList surviving_;
   RequestList next_requests_;

@@ -16,8 +16,8 @@ NeighborExchangeNode::NeighborExchangeNode(NodeId self, std::size_t n,
   }
 }
 
-void NeighborExchangeNode::send(Round /*r*/, std::span<const NodeId> neighbors,
-                                Outbox& out) {
+void NeighborExchangeNode::send(Round /*r*/, NeighborView view, Outbox& out) {
+  const std::span<const NodeId> neighbors = view.ids;
   for (const NodeId w : neighbors) {
     std::size_t& cursor = sent_up_to_[w];
     if (cursor < order_.size()) {

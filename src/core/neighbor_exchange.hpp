@@ -30,7 +30,7 @@ class NeighborExchangeNode final : public UnicastAlgorithm {
   NeighborExchangeNode(NodeId self, std::size_t n, std::size_t k,
                        const KnowledgeSet& initial);
 
-  void send(Round r, std::span<const NodeId> neighbors, Outbox& out) override;
+  void send(Round r, NeighborView neighbors, Outbox& out) override;
   void on_receive(Round r, NodeId from, const Message& m) override;
 
   /// Tokens currently held.

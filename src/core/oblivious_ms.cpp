@@ -20,7 +20,8 @@ WalkNode::WalkNode(NodeId self, const WalkConfig& cfg, bool is_center,
   for (const TokenId t : held_) DG_CHECK(t < cfg_.k);
 }
 
-void WalkNode::send(Round /*r*/, std::span<const NodeId> neighbors, Outbox& out) {
+void WalkNode::send(Round /*r*/, NeighborView view, Outbox& out) {
+  const std::span<const NodeId> neighbors = view.ids;
   if (is_center_) {
     // Center announcement, once per distinct neighbor ever met; collected
     // tokens stop here, so no token traffic originates from a center.

@@ -49,7 +49,7 @@ class WalkNode final : public UnicastAlgorithm {
   WalkNode(NodeId self, const WalkConfig& cfg, bool is_center,
            std::vector<TokenId> initial_tokens, Rng rng);
 
-  void send(Round r, std::span<const NodeId> neighbors, Outbox& out) override;
+  void send(Round r, NeighborView neighbors, Outbox& out) override;
   void on_receive(Round r, NodeId from, const Message& m) override;
 
   /// True iff this node elected itself a center.

@@ -18,22 +18,20 @@ SingleSourceNode::SingleSourceNode(NodeId self, const SingleSourceConfig& cfg)
   if (self == cfg.source) tokens_.set_all();
 }
 
-void SingleSourceNode::send(Round r, std::span<const NodeId> neighbors, Outbox& out) {
-  classifier_.begin_round(r, neighbors);
-  current_neighbors_.assign(neighbors.begin(), neighbors.end());
-
+void SingleSourceNode::send(Round r, NeighborView neighbors, Outbox& out) {
+  const std::span<const NodeId> ids = neighbors.ids;
   if (complete()) {
     // Answer last round's requests first (so the per-neighbor if/else of
     // Algorithm 1 holds: a requester necessarily already knows our
     // completeness, so it is never also an announcement target).
     for (const auto& [requester, token] : pending_answers_) {
-      if (std::binary_search(neighbors.begin(), neighbors.end(), requester)) {
+      if (std::binary_search(ids.begin(), ids.end(), requester)) {
         out.send(requester, Message::token_msg(token, cfg_.source));
       }
     }
     pending_answers_.clear();
     sent_requests_.clear();
-    for (const NodeId u : neighbors) {
+    for (const NodeId u : ids) {
       if (!informed_.test(u)) {
         out.send(u, Message::completeness(cfg_.source, cfg_.k));
         informed_.set(u);
@@ -53,7 +51,7 @@ void SingleSourceNode::send(Round r, std::span<const NodeId> neighbors, Outbox& 
   // surviving_ stays sorted because sent_requests_ is.
   surviving_.clear();
   for (const auto& [w, tok] : sent_requests_) {
-    if (std::binary_search(neighbors.begin(), neighbors.end(), w)) {
+    if (std::binary_search(ids.begin(), ids.end(), w)) {
       in_flight_.set(tok);
       surviving_.push_back({w, tok});
     }
@@ -61,10 +59,11 @@ void SingleSourceNode::send(Round r, std::span<const NodeId> neighbors, Outbox& 
 
   // Partition eligible edges (to known-complete neighbors) by class.
   for (auto& list : by_class_) list.clear();
-  for (const NodeId w : neighbors) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const NodeId w = ids[i];
     if (!known_complete_.test(w)) continue;
     const bool arriving = find_request(surviving_, w) != nullptr;
-    const EdgeClass c = classifier_.classify(w, arriving);
+    const EdgeClass c = classifier_.classify(r, w, neighbors.since[i], arriving);
     by_class_[static_cast<std::size_t>(c)].push_back(w);
   }
 
@@ -108,12 +107,12 @@ void SingleSourceNode::send(Round r, std::span<const NodeId> neighbors, Outbox& 
   std::swap(sent_requests_, next_requests_);
 }
 
-void SingleSourceNode::on_receive(Round /*r*/, NodeId from, const Message& m) {
+void SingleSourceNode::on_receive(Round r, NodeId from, const Message& m) {
   switch (m.type) {
     case MsgType::kToken: {
       DG_CHECK(m.token < cfg_.k);
       if (tokens_.set(m.token)) {
-        classifier_.note_learning_over(from);
+        classifier_.note_learning_over(from, r);
       }
       // Arrived: no longer in flight from this neighbor.
       const auto* entry = find_request(sent_requests_, from);
@@ -143,9 +142,13 @@ void SingleSourceNode::on_receive(Round /*r*/, NodeId from, const Message& m) {
   }
 }
 
-bool SingleSourceNode::is_bridge_node() const {
+bool SingleSourceNode::quiescent() const {
+  return complete() ? pending_answers_.empty() : sent_requests_.empty();
+}
+
+bool SingleSourceNode::is_bridge_node(std::span<const NodeId> neighbors) const {
   if (complete()) return false;
-  for (const NodeId w : current_neighbors_) {
+  for (const NodeId w : neighbors) {
     if (known_complete_.test(w)) return true;
   }
   return false;

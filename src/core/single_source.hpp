@@ -50,8 +50,13 @@ class SingleSourceNode final : public UnicastAlgorithm {
  public:
   SingleSourceNode(NodeId self, const SingleSourceConfig& cfg);
 
-  void send(Round r, std::span<const NodeId> neighbors, Outbox& out) override;
+  void send(Round r, NeighborView neighbors, Outbox& out) override;
   void on_receive(Round r, NodeId from, const Message& m) override;
+
+  /// Nothing to do until something changes: complete with no request left
+  /// to answer (every current neighbor is informed), or incomplete with no
+  /// outstanding request (so no current neighbor is known complete).
+  [[nodiscard]] bool quiescent() const override;
 
   /// Definition 3.1: complete iff all k tokens are held.
   [[nodiscard]] bool complete() const noexcept { return tokens_.all(); }
@@ -59,9 +64,9 @@ class SingleSourceNode final : public UnicastAlgorithm {
   /// Tokens currently held.
   [[nodiscard]] const KnowledgeSet& tokens() const noexcept { return tokens_; }
 
-  /// Definition 3.2 (evaluated for the current round): incomplete with a
-  /// known-complete live neighbor.
-  [[nodiscard]] bool is_bridge_node() const;
+  /// Definition 3.2, for the round whose sorted neighbor ids are
+  /// `neighbors`: incomplete with a known-complete neighbor.
+  [[nodiscard]] bool is_bridge_node(std::span<const NodeId> neighbors) const;
 
   /// Instrumentation: requests sent so far, by edge class at send time.
   [[nodiscard]] std::uint64_t requests_over(EdgeClass c) const {
@@ -87,8 +92,6 @@ class SingleSourceNode final : public UnicastAlgorithm {
   RequestList sent_requests_;
   /// Requests received last round, answered this round if the edge survives.
   std::vector<std::pair<NodeId, TokenId>> pending_answers_;
-  /// Live neighbors of the current round (sorted), for is_bridge_node().
-  std::vector<NodeId> current_neighbors_;
   std::uint64_t requests_by_class_[3] = {0, 0, 0};
   // Per-round scratch, reused across rounds (send() leaves in_flight_ empty).
   RequestList surviving_;            ///< last round's requests whose edge survived

@@ -20,7 +20,8 @@ SpanningTreeNode::SpanningTreeNode(NodeId self, const SpanningTreeConfig& cfg,
   }
 }
 
-void SpanningTreeNode::send(Round r, std::span<const NodeId> neighbors, Outbox& out) {
+void SpanningTreeNode::send(Round r, NeighborView view, Outbox& out) {
+  const std::span<const NodeId> neighbors = view.ids;
   // Static-topology guard: the protocol is only defined on static graphs.
   if (r == 1) {
     first_neighbors_.assign(neighbors.begin(), neighbors.end());

@@ -43,7 +43,7 @@ class SpanningTreeNode final : public UnicastAlgorithm {
   SpanningTreeNode(NodeId self, const SpanningTreeConfig& cfg,
                    const KnowledgeSet& initial_tokens);
 
-  void send(Round r, std::span<const NodeId> neighbors, Outbox& out) override;
+  void send(Round r, NeighborView neighbors, Outbox& out) override;
   void on_receive(Round r, NodeId from, const Message& m) override;
 
   /// Parent in the BFS tree (kNoNode before joining; root's parent = root).

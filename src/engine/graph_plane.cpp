@@ -32,6 +32,27 @@ bool RoundGraphPlane::net_diff(const Graph& g) {
   return true;
 }
 
+void RoundGraphPlane::carry_since(Round r, bool carry) {
+  if (!carry) {
+    since_.assign(view_.num_arcs(), r);
+    return;
+  }
+  since_.resize(view_.num_arcs());
+  const auto n = static_cast<NodeId>(view_.num_nodes());
+  for (NodeId v = 0; v < n; ++v) {
+    // Both neighbor lists are sorted: one linear merge per node.
+    const std::span<const NodeId> now = view_.neighbors(v);
+    const std::span<const NodeId> before = prev_view_.neighbors(v);
+    const Round* before_since = prev_since_.data() + prev_view_.arc_begin(v);
+    Round* out = since_.data() + view_.arc_begin(v);
+    std::size_t p = 0;
+    for (std::size_t i = 0; i < now.size(); ++i) {
+      while (p < before.size() && before[p] < now[i]) ++p;
+      out[i] = p < before.size() && before[p] == now[i] ? before_since[p] : r;
+    }
+  }
+}
+
 const GraphDiff& RoundGraphPlane::ingest(const Graph& g, Round r) {
   DG_CHECK(g.num_nodes() == tracker_.num_nodes());
   // The tracker may be shared with an earlier engine: patch only when this
@@ -41,14 +62,19 @@ const GraphDiff& RoundGraphPlane::ingest(const Graph& g, Round r) {
   const std::optional<bool> verdict = g.connectivity_verdict();
   bool connected = true;
   if (patch) {
-    view_.patch(diff_.inserted, diff_.removed);
+    view_.patch(diff_.inserted, diff_.removed, track_since_ ? &since_ : nullptr, r);
     ++patched_;
     // G_{r-1} passed the check; insertions alone cannot disconnect it.
     if (!diff_.removed.empty()) {
       connected = verdict ? *verdict : connectivity_.is_connected(view_);
     }
   } else {
+    if (track_since_) {
+      std::swap(view_, prev_view_);
+      std::swap(since_, prev_since_);
+    }
     view_.rebuild(g);
+    if (track_since_) carry_since(r, round_ != 0 && round_ + 1 == r);
     connected = verdict ? *verdict : connectivity_.is_connected(view_);
   }
   DG_CHECK(connected);

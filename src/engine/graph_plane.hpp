@@ -24,11 +24,24 @@
 // carries a current verdict from a connectivity helper (the churn
 // adversaries check their own graph before repairing it), or when a patch
 // removes no edge from the previous, already verified, round graph.
+//
+// The plane also keeps one `since` round per directed arc v->w: the first
+// round of the current unbroken run of rounds in which this plane's views
+// contained the arc.  It is what Algorithm 1's edge classification needs
+// (an edge is "new" for the two rounds after its last insertion), served
+// without any per-node merge in the algorithms.  The patch path stamps
+// inserted arcs with r and lets every other value travel with its target
+// through the view's block copies; the rebuild path carries the values over
+// from the previous snapshot with one per-node merge.  A fresh plane (or one
+// that skipped rounds) stamps every arc with the round it ingests.  Only the
+// unicast engine reads since, so a plane keeps it only when asked to.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/types.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/dynamic_tracker.hpp"
@@ -43,10 +56,12 @@ class RoundGraphPlane {
   /// Plane feeding `tracker`, which must outlive it (a tracker may be
   /// shared by consecutive engines; a plane that did not ingest the
   /// tracker's last round rebuilds).  `timeline` (nullable) receives one
-  /// "adversary" and one "graph_plane" span per round.
+  /// "adversary" and one "graph_plane" span per round.  `track_since`
+  /// keeps the per-arc since rounds (since() is valid only then).
   explicit RoundGraphPlane(DynamicGraphTracker& tracker,
-                           TimelineRecorder* timeline = nullptr)
-      : tracker_(tracker), timeline_(timeline) {}
+                           TimelineRecorder* timeline = nullptr,
+                           bool track_since = false)
+      : tracker_(tracker), timeline_(timeline), track_since_(track_since) {}
 
   /// One round: asks `next_graph()` for G_r (the adversary step), then
   /// ingests it.  Returns the round's diff (valid until the next round).
@@ -73,6 +88,20 @@ class RoundGraphPlane {
   /// adversary call).
   [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
 
+  /// `since` of v's arcs, aligned with view().neighbors(v).
+  [[nodiscard]] std::span<const Round> since(NodeId v) const {
+    DG_DCHECK(track_since_);
+    return {since_.data() + view_.arc_begin(v), view_.degree(v)};
+  }
+
+  /// Writable `since` of v's arcs, for an engine that re-bases what one
+  /// node has seen (a crashed node's recovery); the values then travel with
+  /// the arcs like any others.
+  [[nodiscard]] std::span<Round> mutable_since(NodeId v) {
+    DG_DCHECK(track_since_);
+    return {since_.data() + view_.arc_begin(v), view_.degree(v)};
+  }
+
   /// Rounds ingested by the patch path so far (the rest were rebuilds).
   [[nodiscard]] std::uint64_t patched_rounds() const noexcept { return patched_; }
 
@@ -81,9 +110,18 @@ class RoundGraphPlane {
   /// the journal cannot serve this round (the caller rebuilds).
   bool net_diff(const Graph& g);
 
+  /// Rebuild path: fills since_ for the freshly rebuilt view_, carrying
+  /// each arc's value over from prev_view_ (the previous round's snapshot)
+  /// when `carry`, else stamping r.
+  void carry_since(Round r, bool carry);
+
   DynamicGraphTracker& tracker_;
   TimelineRecorder* timeline_;
+  bool track_since_;
   RoundGraphView view_;
+  std::vector<Round> since_;        ///< per arc of view_
+  RoundGraphView prev_view_;        ///< rebuild path: the replaced snapshot
+  std::vector<Round> prev_since_;   ///< ... and its per-arc since
   ConnectivityChecker connectivity_;
   const Graph* graph_ = nullptr;
   std::uint64_t identity_ = 0;  ///< identity of the graph behind view_

@@ -35,7 +35,7 @@ UnicastEngine::UnicastEngine(std::vector<std::unique_ptr<UnicastAlgorithm>> node
       fault_amnesia_(fault_active_ && opts.faults->amnesia()),
       run_timeout_seconds_(opts.run_timeout_seconds),
       telemetry_(opts.telemetry),
-      plane_(*tracker_, opts.telemetry.timeline) {
+      plane_(*tracker_, opts.telemetry.timeline, /*track_since=*/true) {
   DG_CHECK(!nodes_.empty());
   DG_CHECK(nodes_.size() == knowledge_.size());
   DG_CHECK(adversary_.num_nodes() == nodes_.size());
@@ -46,6 +46,13 @@ UnicastEngine::UnicastEngine(std::vector<std::unique_ptr<UnicastAlgorithm>> node
   }
   DG_CHECK(tracker_->num_nodes() == nodes_.size());
   DG_CHECK(tracker_->rounds() == round_);
+  awake_.assign(nodes_.size(), 1);
+  if (fault_active_) {
+    // A node already down when this engine starts has seen nothing here:
+    // on recovery every edge counts from the recovery round.
+    crashed_at_.assign(nodes_.size(), opts.start_round);
+    crash_snapshot_.resize(nodes_.size());
+  }
 }
 
 std::size_t UnicastEngine::plan_shards() const noexcept {
@@ -87,6 +94,36 @@ void UnicastEngine::validate_sent(NodeId v, std::vector<SentRecord>& sink,
   sink.resize(w);
 }
 
+void UnicastEngine::send_node(Round r, NodeId v, std::vector<SentRecord>& sink,
+                              MessageCounts& counts) {
+  if (awake_[v] == 0) return;
+  if (fault_active_ && !faults_->is_live(v)) return;  // crashed: silent
+  UnicastAlgorithm& node = *nodes_[v];
+  Outbox out(v, sink);
+  const std::size_t mark = sink.size();
+  node.send(r, NeighborView{plane_.view().neighbors(v), plane_.since(v)}, out);
+  validate_sent(v, sink, mark, counts);
+  awake_[v] = node.quiescent() ? 0 : 1;
+}
+
+void UnicastEngine::rebase_recovered(Round r) {
+  const RoundGraphView& csr = plane_.view();
+  for (const NodeId v : faults_->recovered_this_round()) {
+    if (!faults_->is_live(v)) continue;
+    awake_[v] = 1;
+    const Round last_live = crashed_at_[v] - 1;
+    const std::vector<std::pair<NodeId, Round>>& seen = crash_snapshot_[v];
+    const std::span<const NodeId> ids = csr.neighbors(v);
+    const std::span<Round> since = plane_.mutable_since(v);
+    std::size_t p = 0;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (since[i] <= last_live) continue;  // present throughout: unchanged
+      while (p < seen.size() && seen[p].first < ids[i]) ++p;
+      since[i] = p < seen.size() && seen[p].first == ids[i] ? seen[p].second : r;
+    }
+  }
+}
+
 void UnicastEngine::send_phase_sharded(Round r, std::size_t shards) {
   const std::size_t n = nodes_.size();
   const std::size_t chunk = (n + shards - 1) / shards;
@@ -98,14 +135,7 @@ void UnicastEngine::send_phase_sharded(Round r, std::size_t shards) {
     sh.counts = MessageCounts{};
     const auto lo = static_cast<NodeId>(s * chunk);
     const auto hi = static_cast<NodeId>(std::min(n, (s + 1) * chunk));
-    for (NodeId v = lo; v < hi; ++v) {
-      if (fault_active_ && !faults_->is_live(v)) continue;  // crashed: silent
-      const std::span<const NodeId> neigh = plane_.view().neighbors(v);
-      Outbox out(v, sh.traffic);
-      const std::size_t mark = sh.traffic.size();
-      nodes_[v]->send(r, neigh, out);
-      validate_sent(v, sh.traffic, mark, sh.counts);
-    }
+    for (NodeId v = lo; v < hi; ++v) send_node(r, v, sh.traffic, sh.counts);
   });
   // Deterministic reduction: shards cover [0, n) in increasing node order,
   // so appending per-shard outboxes in shard order reproduces the serial
@@ -153,6 +183,7 @@ void UnicastEngine::deliver_sharded(Round r, std::size_t shards) {
         const SentRecord& rec = traffic_[idx];
         const std::uint8_t fate = fault_active_ ? fate_[idx] : 0;
         if (fate == kDrop) continue;
+        awake_[v] = 1;
         const int copies = fate == kDup ? 2 : 1;
         for (int c = 0; c < copies; ++c) {
           if (rec.msg.type == MsgType::kToken) {
@@ -186,10 +217,21 @@ Round UnicastEngine::step() {
   // any sharded phase — the mask is the plan's only mutable state).  Nodes
   // that crashed this round lose their knowledge under amnesia; otherwise
   // they retain it and merely stop participating until recovery.
+  // A crashing node's (neighbor, since) pairs are snapshotted while the
+  // view still holds G_{r-1}, its last live round.
   if (fault_active_) {
     faults_->begin_round(r);
-    if (fault_amnesia_) {
-      for (const NodeId v : faults_->crashed_this_round()) {
+    const RoundGraphView& before = plane_.view();
+    for (const NodeId v : faults_->crashed_this_round()) {
+      crashed_at_[v] = r;
+      std::vector<std::pair<NodeId, Round>>& seen = crash_snapshot_[v];
+      seen.clear();
+      if (before.num_nodes() == n) {
+        const std::span<const NodeId> ids = before.neighbors(v);
+        const std::span<const Round> since = plane_.since(v);
+        for (std::size_t i = 0; i < ids.size(); ++i) seen.emplace_back(ids[i], since[i]);
+      }
+      if (fault_amnesia_) {
         if (knowledge_[v].all()) --complete_nodes_;
         knowledge_[v].reset_all();
         if (knowledge_[v].all()) ++complete_nodes_;  // k = 0 universe only
@@ -209,12 +251,20 @@ Round UnicastEngine::step() {
   metrics_.tc += diff.inserted.size();
   metrics_.deletions += diff.removed.size();
   const RoundGraphView& csr = plane_.view();
+  // An inserted edge wakes both endpoints; a removal wakes nobody.
+  for (const EdgeKey key : diff.inserted) {
+    const auto [a, b] = edge_endpoints(key);
+    awake_[a] = 1;
+    awake_[b] = 1;
+  }
+  if (fault_active_) rebase_recovered(r);
 
   const std::size_t shards = plan_shards();
 
-  // 2. Send step: each node sees its sorted neighbor span (served by the
-  // CSR snapshot — no per-node allocation or sort) and queues per-neighbor
-  // payloads.  Sharded: per-shard outboxes, merged in node order.
+  // 2. Send step: each awake live node sees its sorted neighbor span and
+  // the edges' since rounds (served by the plane — no per-node allocation,
+  // sort or merge) and queues per-neighbor payloads.  Sharded: per-shard
+  // outboxes, merged in node order.
   {
     const TimelineSpan span(telemetry_.timeline, "send_phase", "phase");
     arc_budget_.assign(csr.num_arcs(), 0);
@@ -222,14 +272,7 @@ Round UnicastEngine::step() {
       send_phase_sharded(r, shards);
     } else {
       traffic_.clear();
-      for (NodeId v = 0; v < n; ++v) {
-        if (fault_active_ && !faults_->is_live(v)) continue;  // crashed: silent
-        const std::span<const NodeId> neigh = csr.neighbors(v);
-        Outbox out(v, traffic_);
-        const std::size_t mark = traffic_.size();
-        nodes_[v]->send(r, neigh, out);
-        validate_sent(v, traffic_, mark, metrics_.unicast);
-      }
+      for (NodeId v = 0; v < n; ++v) send_node(r, v, traffic_, metrics_.unicast);
     }
   }
 
@@ -239,6 +282,7 @@ Round UnicastEngine::step() {
   // fates the serial loop would.  A payload addressed to a crashed node is
   // dropped outright; drops still cost the sender (counted at send time).
   if (fault_active_) {
+    const TimelineSpan span(telemetry_.timeline, "fault_seal", "phase");
     fate_.assign(traffic_.size(), 0);
     const bool delivery_faults = faults_->has_delivery_faults();
     if (delivery_faults) arc_seq_.assign(csr.num_arcs(), 0);
@@ -283,6 +327,7 @@ Round UnicastEngine::step() {
         const SentRecord& rec = traffic_[i];
         const std::uint8_t fate = fault_active_ ? fate_[i] : 0;
         if (fate == kDrop) continue;
+        awake_[rec.to] = 1;
         const int copies = fate == kDup ? 2 : 1;
         for (int c = 0; c < copies; ++c) {
           if (rec.msg.type == MsgType::kToken) {

@@ -5,7 +5,11 @@
 //      the full state and the previous round's traffic — for the paper's
 //      deterministic unicast algorithms this equals strong adaptivity);
 //   2. every node is told the IDs of its round-r neighbors (the model's
-//      known-neighborhood assumption) and emits per-neighbor messages;
+//      known-neighborhood assumption), with each edge's since round, and
+//      emits per-neighbor messages — except that a node which declared
+//      itself quiescent is not called again until an incident edge is
+//      inserted, a payload is delivered to it or it recovers (the wake
+//      set; see UnicastAlgorithm::quiescent);
 //   3. messages are delivered at the end of the round; each payload to each
 //      neighbor counts as one message (Definition 1.1, unicast mode);
 //   4. token learnings are recorded; duplicate token deliveries are counted
@@ -21,6 +25,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "adversary/adversary.hpp"
@@ -65,18 +70,34 @@ class Outbox {
   std::vector<SentRecord> owned_;  ///< backing store for the default ctor only
 };
 
+/// A node's round-r neighborhood as send() sees it: the sorted neighbor
+/// ids (known at round start per the model) and, aligned with them, each
+/// edge's `since` round — the first round of the edge's current unbroken
+/// run of presence as this node has seen it (see engine/graph_plane.hpp).
+struct NeighborView {
+  std::span<const NodeId> ids;
+  std::span<const Round> since;
+};
+
 /// Per-node algorithm interface for the unicast model.
 class UnicastAlgorithm {
  public:
   virtual ~UnicastAlgorithm() = default;
 
-  /// Round r send step.  `neighbors` is the sorted list of round-r neighbor
-  /// IDs (known at round start per the model).  Messages queued on `out` are
-  /// delivered to recipients at the end of the round.
-  virtual void send(Round r, std::span<const NodeId> neighbors, Outbox& out) = 0;
+  /// Round r send step.  Messages queued on `out` are delivered to
+  /// recipients at the end of the round.
+  virtual void send(Round r, NeighborView neighbors, Outbox& out) = 0;
 
   /// Delivery of one payload at the end of round r.
   virtual void on_receive(Round r, NodeId from, const Message& m) = 0;
+
+  /// Asked right after send(): true promises that send() would queue
+  /// nothing and change no state in any later round in which, since this
+  /// call, no edge to the node was inserted, no payload was delivered to
+  /// it and it did not recover from a crash — whatever edges were removed.
+  /// The engine then skips those calls.  The default keeps the node
+  /// called in every live round.
+  [[nodiscard]] virtual bool quiescent() const { return false; }
 };
 
 /// Engine options.
@@ -214,6 +235,18 @@ class UnicastEngine {
   void validate_sent(NodeId v, std::vector<SentRecord>& sink, std::size_t mark,
                      MessageCounts& counts);
 
+  /// Runs node v's send step if it is live and awake, then records whether
+  /// it stays awake (shared by the serial and sharded send paths).
+  void send_node(Round r, NodeId v, std::vector<SentRecord>& sink,
+                 MessageCounts& counts);
+
+  /// Crash rule for the nodes that recovered into round r: each arc whose
+  /// `since` is later than the node's last live round gets the value the
+  /// node saw before its crash, or r for a neighbor it did not have then —
+  /// so a recovered node classifies its edges exactly as if its own record
+  /// had been frozen while it was down.  Called after the plane ingests G_r.
+  void rebase_recovered(Round r);
+
   void send_phase_sharded(Round r, std::size_t shards);
   void deliver_sharded(Round r, std::size_t shards);
 
@@ -252,6 +285,16 @@ class UnicastEngine {
   RoundHook hook_;
   std::vector<SentRecord> prev_messages_;
   RoundGraphPlane plane_;                 ///< G_r: CSR view, checks, tracker
+  /// Wake set, one byte per node: nonzero iff send() must run in the next
+  /// live round (the node was not quiescent after its last send, or an
+  /// incident edge was inserted, a payload delivered or it recovered since).
+  /// Written by the shard that owns the node, or serially.
+  std::vector<std::uint8_t> awake_;
+  // Crash bookkeeping (touched only when fault_active_): the round each
+  // crashed node went down and its (neighbor, since) pairs at that moment,
+  // which its recovery restores (see rebase_recovered()).
+  std::vector<Round> crashed_at_;
+  std::vector<std::vector<std::pair<NodeId, Round>>> crash_snapshot_;
   // Per-round scratch, reused across rounds (see step()).
   std::vector<SentRecord> traffic_;       ///< round-r records (swapped into prev)
   std::vector<std::uint32_t> arc_budget_; ///< payload counts per directed arc

@@ -38,6 +38,7 @@ double FaultPlan::roll(std::uint64_t salt, std::uint64_t a,
 void FaultPlan::begin_round(Round r) {
   DG_CHECK(r > last_round_);  // strictly forward; phases continue one plan
   crashed_now_.clear();
+  recovered_now_.clear();
   if (spec_.crash <= 0.0) {
     last_round_ = r;
     return;
@@ -58,6 +59,7 @@ void FaultPlan::begin_round(Round r) {
                  roll(kRecoverSalt, x, v) < spec_.recover) {
         live_[v] = 1;
         ++live_count_;
+        recovered_now_.push_back(v);
       }
     }
   }

@@ -59,6 +59,13 @@ class FaultPlan {
     return crashed_now_;
   }
 
+  /// Nodes that recovered in the round(s) begin_round last advanced through
+  /// (a node may also appear in crashed_this_round() when begin_round
+  /// skipped rounds; is_live() tells its state now).
+  [[nodiscard]] const std::vector<NodeId>& recovered_this_round() const noexcept {
+    return recovered_now_;
+  }
+
   [[nodiscard]] bool amnesia() const noexcept { return spec_.amnesia; }
 
   /// True when crashed nodes can come back (recover > 0) — an all-down
@@ -87,6 +94,7 @@ class FaultPlan {
   std::size_t live_count_;
   std::vector<std::uint8_t> live_;
   std::vector<NodeId> crashed_now_;
+  std::vector<NodeId> recovered_now_;
 };
 
 }  // namespace dyngossip

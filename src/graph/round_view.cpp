@@ -63,19 +63,35 @@ std::size_t RoundGraphView::arc_index(NodeId v, NodeId w) const {
 }
 
 void RoundGraphView::patch(const std::vector<EdgeKey>& inserted,
-                           const std::vector<EdgeKey>& removed) {
+                           const std::vector<EdgeKey>& removed,
+                           std::vector<Round>* arc_values, Round fill) {
   if (inserted.empty() && removed.empty()) return;
   directed_arcs(inserted, arc_scratch_, arc_inserts_);
   directed_arcs(removed, arc_scratch_, arc_removes_);
   DG_CHECK(targets_.size() + arc_inserts_.size() >= arc_removes_.size());
-  targets_scratch_.resize(targets_.size() + arc_inserts_.size() - arc_removes_.size());
+  const std::size_t arcs = targets_.size() + arc_inserts_.size() - arc_removes_.size();
+  targets_scratch_.resize(arcs);
+  if (arc_values != nullptr) {
+    DG_CHECK(arc_values->size() == targets_.size());
+    values_scratch_.resize(arcs);
+  }
 
   // The CSR target array lists arcs in (source, target) order, the same
   // order the packed arc edits sort in, so the patch is one sorted merge:
   // block-copy the run up to each edit's position, then write or skip it.
-  const auto old_begin = targets_.cbegin();
-  auto in = old_begin;
-  auto out = targets_scratch_.begin();
+  // The per-arc values, when given, follow the same copies.
+  const auto copy_run = [&](std::size_t from, std::size_t to, std::size_t out) {
+    std::copy(targets_.begin() + static_cast<std::ptrdiff_t>(from),
+              targets_.begin() + static_cast<std::ptrdiff_t>(to),
+              targets_scratch_.begin() + static_cast<std::ptrdiff_t>(out));
+    if (arc_values != nullptr) {
+      std::copy(arc_values->begin() + static_cast<std::ptrdiff_t>(from),
+                arc_values->begin() + static_cast<std::ptrdiff_t>(to),
+                values_scratch_.begin() + static_cast<std::ptrdiff_t>(out));
+    }
+  };
+  std::size_t in = 0;
+  std::size_t out = 0;
   std::size_t i = 0;  // over arc_inserts_
   std::size_t j = 0;  // over arc_removes_
   while (i < arc_inserts_.size() || j < arc_removes_.size()) {
@@ -85,22 +101,28 @@ void RoundGraphView::patch(const std::vector<EdgeKey>& inserted,
     const NodeId v = arc_source(arc);
     const NodeId t = arc_target(arc);
     DG_CHECK(v < num_nodes_);
-    const auto block_end = old_begin + static_cast<std::ptrdiff_t>(offsets_[v + 1]);
-    const auto at = std::lower_bound(
-        std::max(in, old_begin + static_cast<std::ptrdiff_t>(offsets_[v])), block_end, t);
-    out = std::copy(in, at, out);
+    const auto block_end = targets_.cbegin() + static_cast<std::ptrdiff_t>(offsets_[v + 1]);
+    const auto at_it = std::lower_bound(
+        targets_.cbegin() + static_cast<std::ptrdiff_t>(std::max(in, offsets_[v])),
+        block_end, t);
+    const auto at = static_cast<std::size_t>(at_it - targets_.cbegin());
+    copy_run(in, at, out);
+    out += at - in;
     in = at;
-    const bool present = at != block_end && *at == t;
+    const bool present = at_it != block_end && *at_it == t;
     if (insert) {
       DG_CHECK(!present);
-      *out++ = t;
+      targets_scratch_[out] = t;
+      if (arc_values != nullptr) values_scratch_[out] = fill;
+      ++out;
     } else {
       DG_CHECK(present);
       ++in;
     }
   }
-  std::copy(in, targets_.cend(), out);
+  copy_run(in, targets_.size(), out);
   std::swap(targets_, targets_scratch_);
+  if (arc_values != nullptr) std::swap(*arc_values, values_scratch_);
 
   // Each block start shifts by the net arc edits of all lower sources: a
   // constant between two touched sources.

@@ -56,8 +56,13 @@ class RoundGraphView {
   /// The result equals rebuild() of the patched graph.  O(d log d) for the
   /// d changed edges, plus block copies of the arc array between them and
   /// an O(n) offset sweep.
-  void patch(const std::vector<EdgeKey>& inserted,
-             const std::vector<EdgeKey>& removed);
+  ///
+  /// `arc_values` (nullable) is a caller-owned per-arc array aligned with
+  /// the arc indices (size num_arcs()).  It is patched by the same block
+  /// copies: each kept arc's value travels with its target, each inserted
+  /// arc gets `fill`, and each removed arc's value is dropped.
+  void patch(const std::vector<EdgeKey>& inserted, const std::vector<EdgeKey>& removed,
+             std::vector<Round>* arc_values = nullptr, Round fill = 0);
 
   /// Number of nodes.
   [[nodiscard]] std::size_t num_nodes() const noexcept { return num_nodes_; }
@@ -121,6 +126,7 @@ class RoundGraphView {
   std::vector<std::uint64_t> arc_removes_;
   std::vector<std::uint64_t> arc_scratch_;
   std::vector<NodeId> targets_scratch_;
+  std::vector<Round> values_scratch_;
 };
 
 }  // namespace dyngossip

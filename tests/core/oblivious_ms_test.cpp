@@ -33,9 +33,10 @@ TEST(WalkNode, CenterAnnouncesOncePerNeighbor) {
   WalkConfig cfg{8, 4, /*gamma=*/100.0, false};
   WalkNode center(0, cfg, /*is_center=*/true, {}, Rng(1));
   const std::vector<NodeId> neighbors{1, 2, 3};
+  const std::vector<Round> since(neighbors.size(), 1);
   Outbox out1, out2;
-  center.send(1, neighbors, out1);
-  center.send(2, neighbors, out2);
+  center.send(1, {neighbors, since}, out1);
+  center.send(2, {neighbors, since}, out2);
   // First round: one announcement per neighbor; second round: silence.
   // (Outbox contents are private; observe via a real engine below instead.)
   EXPECT_TRUE(center.is_center());
@@ -50,7 +51,8 @@ TEST(WalkNode, TokenStopsAtCenter) {
   EXPECT_EQ(center.held().size(), 2u);  // owned, never forwarded
   Outbox out;
   const std::vector<NodeId> neighbors{1, 2};
-  center.send(3, neighbors, out);
+  const std::vector<Round> since(neighbors.size(), 1);
+  center.send(3, {neighbors, since}, out);
   EXPECT_EQ(center.held().size(), 2u);
 }
 
@@ -62,7 +64,8 @@ TEST(WalkNode, LowDegreeCongestionOneTokenPerEdge) {
   WalkNode node(1, cfg, false, held, Rng(3));
   Outbox out;
   const std::vector<NodeId> neighbors{0};
-  node.send(1, neighbors, out);
+  const std::vector<Round> since(neighbors.size(), 1);
+  node.send(1, {neighbors, since}, out);
   EXPECT_EQ(node.held().size(), 7u);  // exactly one token left
   EXPECT_EQ(node.walk_steps(), 1u);
   EXPECT_GE(node.passive_token_rounds(), 1u);
@@ -74,9 +77,10 @@ TEST(WalkNode, TextWalkProbabilityIsLazy) {
   WalkNode node(1, cfg, false, {0}, Rng(4));
   Outbox out;
   const std::vector<NodeId> neighbors{0};
+  const std::vector<Round> since(neighbors.size(), 1);
   std::uint64_t before = node.virtual_steps();
   for (Round r = 1; r <= 100 && !node.held().empty(); ++r) {
-    node.send(r, neighbors, out);
+    node.send(r, {neighbors, since}, out);
   }
   EXPECT_GT(node.virtual_steps(), before + 50);  // overwhelmingly lazy
 }

@@ -149,7 +149,13 @@ TEST(SingleSource, NodeStateIntrospection) {
   EXPECT_FALSE(other.complete());
   EXPECT_EQ(source.tokens().count(), 3u);
   EXPECT_EQ(other.tokens().count(), 0u);
-  EXPECT_FALSE(other.is_bridge_node());  // no neighbors yet
+  EXPECT_FALSE(other.is_bridge_node({}));  // no neighbors yet
+  other.on_receive(1, 0, Message::completeness(0, 3));
+  const std::vector<NodeId> with_source{0, 2};
+  const std::vector<NodeId> without_source{2, 3};
+  EXPECT_TRUE(other.is_bridge_node(with_source));
+  EXPECT_FALSE(other.is_bridge_node(without_source));
+  EXPECT_FALSE(source.is_bridge_node(with_source));  // complete: never a bridge
 }
 
 TEST(SingleSource, RequestPriorityPrefersNewEdges) {

@@ -1,17 +1,25 @@
-// Pinned payload checksums: three trials whose payload bytes are frozen, so
+// Pinned payload checksums: five trials whose payload bytes are frozen, so
 // a change to the per-round graph plane (CSR view, tracker, connectivity
-// check) or to the churn adversaries cannot silently change results.
+// check), to the unicast send phase or to the churn adversaries cannot
+// silently change results.
 //
 //   - the small frontier shape: Algorithm 1, n = 512, k = 32, under
 //     churn:edges=8n,churn=n/8 (the graph plane does most of the work);
 //   - a faulted flooding: trial, whose delivery fates are position hashes
 //     of arc indices, so any renumbering of the CSR arcs shows;
-//   - an async_push_pull trial on churn (the continuous-time engine).
+//   - an async_push_pull trial on churn (the continuous-time engine);
+//   - a single_source and a multi_source:sources=4 trial under crashes
+//     with recovery, amnesia, drops and duplicates on a fast churn, so
+//     that crashed requesting nodes recover onto edges that changed while
+//     they were down (the unicast engine's crash rule for edge `since`
+//     rounds and the wake set's recovery and delivery wake-ups).
 //
-// The checksums were taken from the engines before the graph plane patched
-// its per-round state from the adversary's edits.  Each trial is checked
-// serially and again at 4 threads: handed a 4-worker engine pool from the
-// test thread, and all three run concurrently on the pool.  Sharded rounds
+// The first three checksums were taken from the engines before the graph
+// plane patched its per-round state from the adversary's edits; the two
+// faulted ones before the engine kept per-arc since rounds and skipped
+// quiescent nodes.  Each trial is checked serially and again at 4
+// threads: handed a 4-worker engine pool from the test thread, and all
+// five run concurrently on the pool.  Sharded rounds
 // only engage at n >= 4096; sharded_identity_test covers them at test
 // sizes.
 #include <cstdint>
@@ -49,6 +57,12 @@ const std::vector<PinnedTrial>& pinned_trials() {
        64, 16, 77, 0x523899ec88f19dc7ULL},
       {"async_push_pull:", "churn:churn=8,edges=256", "", 64, 16, 91,
        0x0da15a5a7f026539ULL},
+      {"single_source", "churn:churn=64,edges=1024",
+       "crash=0.003,recover=0.05,amnesia=1,drop=0.05,dup=0.05", 128, 32, 41,
+       0x4db7cd1b8fb6d36dULL},
+      {"multi_source:sources=4", "churn:churn=64,edges=1024",
+       "crash=0.003,recover=0.05,amnesia=1,drop=0.05,dup=0.05", 128, 32, 43,
+       0x883ec8ffc4d740beULL},
   };
   return trials;
 }

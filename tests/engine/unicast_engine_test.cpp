@@ -21,8 +21,8 @@ class StubRelay : public UnicastAlgorithm {
     (void)k;
   }
 
-  void send(Round /*r*/, std::span<const NodeId> neighbors, Outbox& out) override {
-    for (const NodeId w : neighbors) {
+  void send(Round /*r*/, NeighborView neighbors, Outbox& out) override {
+    for (const NodeId w : neighbors.ids) {
       for (const std::size_t t : known_.set_positions()) {
         if (!sent_[w].count(static_cast<TokenId>(t))) {
           out.send(w, Message::token_msg(static_cast<TokenId>(t)));
@@ -78,8 +78,8 @@ TEST(UnicastEngine, PerTypeCounting) {
   class MultiTyped : public UnicastAlgorithm {
    public:
     explicit MultiTyped(bool holder) : holder_(holder) {}
-    void send(Round /*r*/, std::span<const NodeId> neighbors, Outbox& out) override {
-      for (const NodeId w : neighbors) {
+    void send(Round /*r*/, NeighborView neighbors, Outbox& out) override {
+      for (const NodeId w : neighbors.ids) {
         if (holder_) out.send(w, Message::token_msg(0));
         out.send(w, Message::completeness(0, 1));
         out.send(w, Message::request(0));
@@ -109,7 +109,7 @@ TEST(UnicastEngine, PerTypeCounting) {
 /// Sends to a node that is not a neighbor: must abort.
 class BadTarget : public UnicastAlgorithm {
  public:
-  void send(Round /*r*/, std::span<const NodeId> /*neighbors*/, Outbox& out) override {
+  void send(Round /*r*/, NeighborView /*neighbors*/, Outbox& out) override {
     out.send(2, Message::request(0));  // node 2 is not adjacent to node 0 on a path of 3
   }
   void on_receive(Round, NodeId, const Message&) override {}
@@ -130,8 +130,8 @@ TEST(UnicastEngineDeath, NonNeighborTargetRejected) {
 /// Floods one edge past the bandwidth cap: must abort.
 class BandwidthHog : public UnicastAlgorithm {
  public:
-  void send(Round /*r*/, std::span<const NodeId> neighbors, Outbox& out) override {
-    for (int i = 0; i < 5; ++i) out.send(neighbors[0], Message::request(0));
+  void send(Round /*r*/, NeighborView neighbors, Outbox& out) override {
+    for (int i = 0; i < 5; ++i) out.send(neighbors.ids[0], Message::request(0));
   }
   void on_receive(Round, NodeId, const Message&) override {}
 };
@@ -150,8 +150,8 @@ TEST(UnicastEngineDeath, BandwidthCapEnforced) {
 /// Ships a token it does not hold: must abort (token forwarding).
 class TokenFabricator : public UnicastAlgorithm {
  public:
-  void send(Round /*r*/, std::span<const NodeId> neighbors, Outbox& out) override {
-    out.send(neighbors[0], Message::token_msg(0));
+  void send(Round /*r*/, NeighborView neighbors, Outbox& out) override {
+    out.send(neighbors.ids[0], Message::token_msg(0));
   }
   void on_receive(Round, NodeId, const Message&) override {}
 };

@@ -6,7 +6,9 @@
 // DynamicGraphTracker merging the full edge set.  Compared are the neighbor
 // spans, arc_begin and arc_index of every arc (fault fates hash arc
 // indices), the round's GraphDiff, TC, deletions, min_completed_lifetime,
-// every live edge's insertion round, and any memoised connectivity verdict.
+// every live edge's insertion round, any memoised connectivity verdict, and
+// the per-arc since round against a from-scratch replay (an arc present in
+// the round before keeps its value, any other arc gets the current round).
 // The graph sequences come from random edit scripts (adds, removes,
 // cut-then-re-add, wholesale assignment, journal overflow, a new graph at a
 // reused address) and from every registered adversary family driving real
@@ -17,6 +19,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -57,7 +60,8 @@ void expect_same_view(const RoundGraphView& got, const RoundGraphView& want,
 /// A plane and the from-scratch reference, fed the same graph each round.
 class PlaneCheck {
  public:
-  explicit PlaneCheck(std::size_t n) : tracker_(n), plane_(tracker_), reference_(n) {}
+  explicit PlaneCheck(std::size_t n)
+      : tracker_(n), plane_(tracker_, nullptr, /*track_since=*/true), reference_(n) {}
 
   void step(const Graph& g, Round r) {
     const GraphDiff& got = plane_.ingest(g, r);
@@ -78,14 +82,34 @@ class PlaneCheck {
       ConnectivityChecker checker;
       EXPECT_EQ(*verdict, checker.is_connected(fresh)) << "round " << r;
     }
+    check_since(fresh, r);
   }
 
   [[nodiscard]] const RoundGraphPlane& plane() const { return plane_; }
 
  private:
+  /// Replays since from scratch over the arcs of `fresh` (G_r).
+  void check_since(const RoundGraphView& fresh, Round r) {
+    std::map<std::uint64_t, Round> now;
+    for (NodeId v = 0; v < fresh.num_nodes(); ++v) {
+      const std::span<const NodeId> ids = fresh.neighbors(v);
+      const std::span<const Round> got = plane_.since(v);
+      ASSERT_EQ(got.size(), ids.size()) << "round " << r << " node " << v;
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        const std::uint64_t arc = (std::uint64_t{v} << 32) | ids[i];
+        const auto before = since_.find(arc);
+        const Round want = before != since_.end() ? before->second : r;
+        now.emplace(arc, want);
+        ASSERT_EQ(got[i], want) << "round " << r << " arc " << v << "->" << ids[i];
+      }
+    }
+    since_.swap(now);
+  }
+
   DynamicGraphTracker tracker_;
   RoundGraphPlane plane_;
   DynamicGraphTracker reference_;
+  std::map<std::uint64_t, Round> since_;  ///< oracle: G_{r-1}'s arcs
 };
 
 /// Toggles `count` uniformly random node pairs of g.
@@ -287,7 +311,7 @@ TEST(RoundGraphPlane, SharedTrackerAdvancedElsewhereForcesARebuild) {
   Rng rng(3);
   Graph g = random_connected_with_edges(12, 24, rng);
   DynamicGraphTracker tracker(12);
-  RoundGraphPlane first(tracker);
+  RoundGraphPlane first(tracker, nullptr, /*track_since=*/true);
   first.ingest(g, 1);
   toggle_pairs(g, 3, rng);
   keep_connected(g, rng);
@@ -299,6 +323,10 @@ TEST(RoundGraphPlane, SharedTrackerAdvancedElsewhereForcesARebuild) {
   EXPECT_EQ(first.patched_rounds(), 0u);
   expect_same_view(first.view(), RoundGraphView(g), 3);
   EXPECT_EQ(tracker.rounds(), 3u);
+  // The plane missed round 2, so no presence run carries over it.
+  for (NodeId v = 0; v < 12; ++v) {
+    for (const Round since : first.since(v)) EXPECT_EQ(since, 3u);
+  }
 }
 
 TEST(RoundGraphPlaneDeathTest, PatchedRoundThatDisconnectsAborts) {

@@ -15,6 +15,8 @@
 #include "algo/registry.hpp"
 #include "core/single_source.hpp"
 #include "engine/unicast_engine.hpp"
+#include "fault/fault_plan.hpp"
+#include "fault/fault_spec.hpp"
 #include "sim/runner/json.hpp"
 #include "sim/runner/thread_pool.hpp"
 #include "telemetry/timeline.hpp"
@@ -115,6 +117,32 @@ TEST(Timeline, EveryEngineSpansTheAdversaryAndTheGraphPlane) {
     EXPECT_GT(rounds, 0u) << algo;
     EXPECT_EQ(count_name(events, "adversary"), rounds) << algo;
     EXPECT_EQ(count_name(events, "graph_plane"), rounds) << algo;
+  }
+}
+
+TEST(Timeline, UnicastEngineSpansFateSealingOnlyUnderFaults) {
+  // One "fault_seal" span per round of a faulted unicast run, none on the
+  // fault-free path.
+  for (const bool faulty : {false, true}) {
+    TimelineRecorder recorder;
+    const std::unique_ptr<Adversary> adversary =
+        build_adversary(AdversarySpec::parse("churn:"), 24, 5);
+    FaultPlan plan(FaultSpec::parse("drop=0.05,crash=0.01,recover=0.2"), 24, 5);
+    AlgoBuildContext ctx;
+    ctx.n = 24;
+    ctx.k = 8;
+    ctx.sources = 1;
+    ctx.seed = 5;
+    ctx.telemetry.timeline = &recorder;
+    if (faulty) ctx.faults = &plan;
+    (void)run_algo(AlgoSpec::parse("single_source"), ctx, *adversary);
+
+    std::ostringstream os;
+    recorder.write_json(os);
+    const JsonValue events = JsonValue::parse(os.str());
+    const std::size_t rounds = count_name(events, "round");
+    EXPECT_GT(rounds, 0u);
+    EXPECT_EQ(count_name(events, "fault_seal"), faulty ? rounds : 0u);
   }
 }
 
