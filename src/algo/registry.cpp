@@ -114,9 +114,7 @@ RunResult run_single_source_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
   SingleSourceConfig cfg{ctx.n, ctx.k, static_cast<NodeId>(source), priority};
   UnicastEngineOptions opts;
   opts.pool = ctx.engine_pool;
-  opts.faults = ctx.faults;
-  opts.run_timeout_seconds = ctx.trial_timeout_seconds;
-  opts.telemetry = ctx.telemetry;
+  opts.env() = {ctx.faults, ctx.trial_timeout_seconds, ctx.telemetry};
   UnicastEngine engine(SingleSourceNode::make_all(cfg), adversary,
                        SingleSourceNode::initial_knowledge(cfg), ctx.k, opts);
   return finish(engine.run(cap_of(ctx)));
@@ -231,10 +229,7 @@ RunResult run_async_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
   if (!(opts.sigma > 0.0)) fail(spec.family + ": sigma must be > 0");
   opts.push_pull = push_pull;
   opts.seed = r.seed();
-  opts.pool = ctx.engine_pool;
-  opts.faults = ctx.faults;
-  opts.run_timeout_seconds = ctx.trial_timeout_seconds;
-  opts.telemetry = ctx.telemetry;
+  opts.env() = {ctx.faults, ctx.trial_timeout_seconds, ctx.telemetry};
   const std::vector<KnowledgeSet> initial =
       initial_of(spec, ctx, &ctx.k_realized);
   AsyncEngine engine(adversary, initial,

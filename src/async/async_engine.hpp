@@ -16,15 +16,15 @@
 // total order under the (time, node, seq) tie-break, activation times are
 // per-node prefix sums of position-keyed exponential gaps, and every
 // neighbor/token/fault decision is a pure SplitMix64 hash of the event's
-// schedule position (never of evaluation order or stream state).  The
-// `pool` option exists only for interface parity with the round engines:
-// per-event work is a handful of loads, so there is nothing to shard, and
-// ignoring the pool makes payloads trivially bit-identical at 1, 2, or 8
-// threads (enforced by tests/async/ and the CI payload diff).
+// schedule position (never of evaluation order or stream state).  Per-event
+// work is a handful of loads, so there is nothing to shard: the engine takes
+// no pool, and payloads are trivially bit-identical at 1, 2, or 8 threads
+// (enforced by tests/async/ and the CI payload diff).
 //
 // Zero-overhead contract: with no probe, no timeline, and an inactive
 // fault plan, the hot loop touches none of those subsystems — the same
-// pointer/flag gating as the round engines.
+// pointer/flag gating as the round engines, through the same RunHarness
+// (engine/run_harness.hpp), whose per-event checks are inline.
 //
 // Metrics mapping: `rounds` = schedule rounds consumed (windows the last
 // event reached), `virtual_steps` = total clock activations, `unicast.token`
@@ -43,18 +43,18 @@
 #include "common/knowledge_set.hpp"
 #include "common/types.hpp"
 #include "engine/graph_plane.hpp"
+#include "engine/run_harness.hpp"
 #include "graph/dynamic_tracker.hpp"
 #include "metrics/accounting.hpp"
-#include "telemetry/telemetry.hpp"
 #include "telemetry/timeline.hpp"
 
 namespace dyngossip {
 
-class FaultPlan;
-class ThreadPool;
-
-/// Engine options (the async analogue of UnicastEngineOptions).
-struct AsyncEngineOptions {
+/// Engine options (the async analogue of UnicastEngineOptions).  RunEnv's
+/// fault plan advances liveness per schedule round, and its delivery fates
+/// are keyed by event position (round, event seq, leg); its watchdog reads
+/// the clock every 64 popped events.
+struct AsyncEngineOptions : RunEnv {
   /// Poisson activation rate λ per node, in activations per clock unit.
   double rate = 1.0;
   /// Edge lifetime: clock units each schedule round's graph stays live.
@@ -65,18 +65,6 @@ struct AsyncEngineOptions {
   /// Seed of the trial's SplitMix64 position streams (clock gaps, neighbor
   /// picks, token picks).
   std::uint64_t seed = 1;
-  /// Accepted for interface parity with the round engines; the event loop
-  /// is serial by design (see file comment) and never touches it.
-  ThreadPool* pool = nullptr;
-  /// Per-trial fault plan (not owned; null or inactive keeps the exact
-  /// fault-free path).  Liveness advances per schedule round; delivery
-  /// fates are keyed by event position (round, event seq, leg).
-  FaultPlan* faults = nullptr;
-  /// Wall-clock budget in seconds (0: none); checked every 64 popped
-  /// events, an over-budget run stops with RunStatus::kTimeout.
-  double run_timeout_seconds = 0.0;
-  /// Observer plane; null members keep the exact legacy code path.
-  Telemetry telemetry;
 };
 
 /// Drives asynchronous push / push-pull spreading over a clocked schedule.
@@ -91,33 +79,22 @@ class AsyncEngine {
   RunMetrics run(Round max_rounds);
 
   /// True iff every node knows all k tokens.
-  [[nodiscard]] bool all_complete() const noexcept {
-    return complete_nodes_ == knowledge_.size();
-  }
-
-  /// Run-level completion: all_complete() on the fault-free path; under an
-  /// active plan, at least one live node and every live node complete.
-  [[nodiscard]] bool run_complete() const;
-
-  /// Fraction of (node, token) pairs currently known.
-  [[nodiscard]] double coverage() const;
+  [[nodiscard]] bool all_complete() const noexcept { return run_.all_complete(); }
 
   [[nodiscard]] const KnowledgeSet& knowledge_of(NodeId v) const {
-    return knowledge_[v];
+    return run_.knowledge_of(v);
   }
-  [[nodiscard]] const RunMetrics& metrics() const noexcept { return metrics_; }
+  [[nodiscard]] const RunMetrics& metrics() const noexcept { return run_.metrics(); }
 
   /// Schedule rounds consumed so far.
   [[nodiscard]] Round round() const noexcept { return round_; }
 
   /// Total clock activations processed so far.
   [[nodiscard]] std::uint64_t activations() const noexcept {
-    return metrics_.virtual_steps;
+    return run_.metrics().virtual_steps;
   }
 
-  [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return knowledge_.size();
-  }
+  [[nodiscard]] std::size_t num_nodes() const noexcept { return run_.num_nodes(); }
 
  private:
   /// Consumes schedule rounds up to `target`: closes each open window
@@ -128,10 +105,10 @@ class AsyncEngine {
   /// One clock activation of `ev.node` (neighbor pick + push / pull legs).
   void process(const ActivationEvent& ev);
 
-  /// One transmitted token `from` → `to` (leg 0: push, 1: pull reply);
-  /// counts the message, rolls the event-position fault fate, applies the
+  /// One transmitted token to `to` (leg 0: push, 1: pull reply); counts
+  /// the message, rolls the event-position fault fate, applies the
   /// delivery.  No-op when `tok` is kNoToken (empty knowledge).
-  void deliver_leg(NodeId from, NodeId to, TokenId tok, std::uint32_t leg,
+  void deliver_leg(NodeId to, TokenId tok, std::uint32_t leg,
                    std::uint64_t event_no);
 
   /// Applies one delivered token to `to`'s knowledge.
@@ -142,24 +119,12 @@ class AsyncEngine {
                                    std::uint64_t event_no,
                                    std::uint64_t salt) const;
 
-  /// Records one probe sample for finished round r (same delta/gauge/flush
-  /// semantics as UnicastEngine::probe_observe).
-  void probe_observe(Round r, bool flush);
-
   ClockedAdversary clocked_;
   PoissonClock clock_;
-  std::vector<KnowledgeSet> knowledge_;
-  std::size_t k_;
-  std::size_t complete_nodes_ = 0;
+  RunHarness run_;  ///< knowledge mirror, metrics, faults, probe, termination
   bool push_pull_;
   std::uint64_t seed_;
-  FaultPlan* faults_;
-  bool fault_active_;
-  bool fault_amnesia_;
-  double run_timeout_seconds_;
-  Telemetry telemetry_;
   DynamicGraphTracker tracker_;
-  RunMetrics metrics_;
   Round round_ = 0;
 
   EventQueue queue_;
@@ -168,12 +133,7 @@ class AsyncEngine {
 
   RoundGraphPlane plane_;  ///< the live graph: CSR view, checks, tracker
 
-  // Probe bookkeeping (touched only when telemetry_.probe != nullptr).
-  RunMetrics probe_prev_;
-  std::uint64_t probe_dropped_ = 0;
-  std::uint64_t probe_duplicated_ = 0;
-  std::uint64_t probe_edges_ = 0;
-  // Timeline bookkeeping (touched only when telemetry_.timeline != nullptr):
+  // Timeline bookkeeping (touched only with a timeline attached):
   // start of the current window's event batch.
   TimelineRecorder::Clock::time_point batch_begin_;
 };

@@ -57,9 +57,7 @@ RunMetrics run_neighbor_exchange(std::size_t n, std::size_t k,
                                  double timeout_seconds, Telemetry telemetry) {
   UnicastEngineOptions opts;
   opts.pool = pool;
-  opts.faults = faults;
-  opts.run_timeout_seconds = timeout_seconds;
-  opts.telemetry = telemetry;
+  opts.env() = {faults, timeout_seconds, telemetry};
   UnicastEngine engine(NeighborExchangeNode::make_all(n, k, initial), adversary,
                        initial, k, opts);
   return engine.run(max_rounds);

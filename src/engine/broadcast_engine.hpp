@@ -24,14 +24,13 @@
 #include "common/knowledge_set.hpp"
 #include "common/types.hpp"
 #include "engine/graph_plane.hpp"
+#include "engine/run_harness.hpp"
 #include "graph/dynamic_tracker.hpp"
 #include "metrics/accounting.hpp"
 #include "metrics/learning_log.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace dyngossip {
 
-class FaultPlan;
 class ThreadPool;
 
 /// Per-node algorithm interface for the local-broadcast model.
@@ -54,8 +53,9 @@ class BroadcastAlgorithm {
   virtual void on_receive(Round r, std::span<const TokenId> tokens) = 0;
 };
 
-/// Engine options.
-struct BroadcastEngineOptions {
+/// Engine options; the fault plan, watchdog budget and telemetry come from
+/// RunEnv (engine/run_harness.hpp).
+struct BroadcastEngineOptions : RunEnv {
   /// Record individual learning events (O(nk) memory) in the learning log.
   bool record_learning_events = false;
   /// Worker pool for intra-round sharding; null (or a 1-worker pool) keeps
@@ -67,18 +67,6 @@ struct BroadcastEngineOptions {
   ThreadPool* pool = nullptr;
   /// Minimum node count before sharding engages.
   std::size_t min_parallel_nodes = 4096;
-  /// Per-trial fault plan (not owned).  Null or inactive keeps the exact
-  /// fault-free code path; decisions are position-keyed (fault/fault_plan.hpp)
-  /// so faulty runs stay bit-identical at any thread count.
-  FaultPlan* faults = nullptr;
-  /// Wall-clock budget for run() in seconds (0: none); over-budget runs
-  /// stop with RunStatus::kTimeout.
-  double run_timeout_seconds = 0.0;
-  /// Observer plane (telemetry/telemetry.hpp): an optional per-round probe
-  /// and an optional wall-clock timeline, both non-owning.  Null pointers
-  /// keep the exact legacy code path; attached observers only READ engine
-  /// state, so payload checksums are byte-identical either way.
-  Telemetry telemetry;
 };
 
 /// Drives n BroadcastAlgorithm instances against an adversary.
@@ -101,26 +89,15 @@ class BroadcastEngine {
   RunMetrics run(Round max_rounds);
 
   /// True iff every node knows all k tokens.
-  [[nodiscard]] bool all_complete() const noexcept {
-    return complete_nodes_ == knowledge_.size();
-  }
-
-  /// Run-level completion: all_complete() on the fault-free path; under an
-  /// active fault plan, at least one live node exists and every live node
-  /// is complete (crashed nodes don't count until recovery).
-  [[nodiscard]] bool run_complete() const;
-
-  /// Fraction of (node, token) pairs currently known (1.0 for an empty
-  /// universe).
-  [[nodiscard]] double coverage() const;
+  [[nodiscard]] bool all_complete() const noexcept { return run_.all_complete(); }
 
   /// Authoritative knowledge of node v.
   [[nodiscard]] const KnowledgeSet& knowledge_of(NodeId v) const {
-    return knowledge_[v];
+    return run_.knowledge_of(v);
   }
 
   /// Metrics accumulated so far.
-  [[nodiscard]] const RunMetrics& metrics() const noexcept { return metrics_; }
+  [[nodiscard]] const RunMetrics& metrics() const noexcept { return run_.metrics(); }
 
   /// Last executed round (0 before the first step).
   [[nodiscard]] Round round() const noexcept { return round_; }
@@ -148,38 +125,14 @@ class BroadcastEngine {
     std::vector<TokenId> inbox;
   };
 
-  /// Number of node shards this round (1 = serial path).
-  [[nodiscard]] std::size_t plan_shards() const noexcept;
-
-  /// Records one probe sample at round r when the probe's stride says so
-  /// (`flush` forces a final sample so per-round sums stay exact at any
-  /// stride).  Only called with a probe attached.
-  void probe_observe(Round r, std::uint64_t edges, bool flush);
-
   std::vector<std::unique_ptr<BroadcastAlgorithm>> nodes_;
   Adversary& adversary_;
-  std::vector<KnowledgeSet> knowledge_;
-  std::size_t k_;
-  std::size_t complete_nodes_ = 0;
+  RunHarness run_;  ///< knowledge mirror, metrics, faults, probe, termination
   DynamicGraphTracker tracker_;
-  RunMetrics metrics_;
   LearningLog log_;
   Round round_ = 0;
   ThreadPool* pool_;
   std::size_t min_parallel_nodes_;
-  FaultPlan* faults_;
-  bool fault_active_;   ///< faults_ != null && faults_->active()
-  bool fault_amnesia_;  ///< fault_active_ && amnesia wipes on crash
-  double run_timeout_seconds_;
-  Telemetry telemetry_;
-  // Probe bookkeeping (touched only when telemetry_.probe != nullptr):
-  // metrics snapshot at the last recorded sample (samples carry per-round
-  // deltas), fault-fate counters accumulated across stride-skipped rounds,
-  // and the last round graph's edge count for the final flush sample.
-  RunMetrics probe_prev_;
-  std::uint64_t probe_dropped_ = 0;
-  std::uint64_t probe_duplicated_ = 0;
-  std::uint64_t probe_edges_ = 0;
   RoundHook hook_;
   std::vector<TokenId> intents_;       // scratch: i_v(r)
   std::vector<TokenId> inbox_scratch_; // scratch: per-node deliveries

@@ -33,14 +33,13 @@
 #include "common/types.hpp"
 #include "engine/graph_plane.hpp"
 #include "engine/message.hpp"
+#include "engine/run_harness.hpp"
 #include "graph/dynamic_tracker.hpp"
 #include "metrics/accounting.hpp"
 #include "metrics/learning_log.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace dyngossip {
 
-class FaultPlan;
 class ThreadPool;
 
 /// Outbox handed to a node during its send step; delivery is end-of-round.
@@ -100,8 +99,9 @@ class UnicastAlgorithm {
   [[nodiscard]] virtual bool quiescent() const { return false; }
 };
 
-/// Engine options.
-struct UnicastEngineOptions {
+/// Engine options; the fault plan, watchdog budget and telemetry come from
+/// RunEnv (engine/run_harness.hpp).
+struct UnicastEngineOptions : RunEnv {
   /// First round number this engine executes (phase-2 engines of
   /// Algorithm 2 continue a running execution).
   Round start_round = 1;
@@ -127,20 +127,6 @@ struct UnicastEngineOptions {
   /// overhead dominates a round).  Tests lower this to force sharding at
   /// small n.
   std::size_t min_parallel_nodes = 4096;
-  /// Per-trial fault plan (not owned; multi-phase executions share one).
-  /// Null or inactive keeps the exact fault-free code path.  All fault
-  /// decisions are position-keyed (see fault/fault_plan.hpp), so faulty
-  /// runs stay bit-identical at any thread count.
-  FaultPlan* faults = nullptr;
-  /// Wall-clock budget for run()/run_until() in seconds (0: none).  An
-  /// over-budget run stops with RunStatus::kTimeout — by construction a
-  /// non-reproducible outcome (it depends on the host, not the seed).
-  double run_timeout_seconds = 0.0;
-  /// Observer plane (telemetry/telemetry.hpp): an optional per-round probe
-  /// and an optional wall-clock timeline, both non-owning.  Null pointers
-  /// keep the exact legacy code path; attached observers only READ engine
-  /// state, so payload checksums are byte-identical either way.
-  Telemetry telemetry;
 };
 
 /// Drives n UnicastAlgorithm instances against an adversary.
@@ -163,36 +149,27 @@ class UnicastEngine {
   /// final metrics with the completed flag set.
   RunMetrics run(Round max_rounds);
 
-  /// Runs until `done(*this)` or the round limit; completed flag reflects
-  /// all_complete() at exit.
+  /// Runs until `done(*this)` or the round limit; the completed flag
+  /// reflects the run-level completion predicate at exit.
   RunMetrics run_until(const StopPredicate& done, Round max_rounds);
 
   /// True iff every node knows all k tokens.
-  [[nodiscard]] bool all_complete() const noexcept {
-    return complete_nodes_ == knowledge_.size();
-  }
+  [[nodiscard]] bool all_complete() const noexcept { return run_.all_complete(); }
 
-  /// The run-level completion predicate: all_complete() on the fault-free
-  /// path; under an active fault plan, at least one node is live and every
-  /// live node knows all k tokens (crashed nodes don't count toward
-  /// completion until recovery).
-  [[nodiscard]] bool run_complete() const;
-
-  /// Fraction of (node, token) pairs currently known (1.0 for an empty
-  /// universe) — the residual-coverage metric of a degraded run.
-  [[nodiscard]] double coverage() const;
+  /// The shared per-trial state: run_complete(), coverage(), liveness.
+  [[nodiscard]] const RunHarness& harness() const noexcept { return run_; }
 
   /// Authoritative knowledge of node v.
   [[nodiscard]] const KnowledgeSet& knowledge_of(NodeId v) const {
-    return knowledge_[v];
+    return run_.knowledge_of(v);
   }
 
   /// Metrics accumulated by this engine (phase-local for multi-phase runs).
-  [[nodiscard]] const RunMetrics& metrics() const noexcept { return metrics_; }
+  [[nodiscard]] const RunMetrics& metrics() const noexcept { return run_.metrics(); }
 
   /// Mutable metrics hook for simulators folding in algorithm-level stats
   /// (e.g. Algorithm 2's virtual self-loop steps).
-  [[nodiscard]] RunMetrics& mutable_metrics() noexcept { return metrics_; }
+  [[nodiscard]] RunMetrics& mutable_metrics() noexcept { return run_.metrics(); }
 
   /// Last executed round (start_round - 1 before the first step).
   [[nodiscard]] Round round() const noexcept { return round_; }
@@ -227,9 +204,6 @@ class UnicastEngine {
     std::size_t newly_complete = 0;
   };
 
-  /// Number of node shards this round (1 = serial path).
-  [[nodiscard]] std::size_t plan_shards() const noexcept;
-
   /// Validates and accounts the records a node appended to `sink` since
   /// `mark` (shared by the serial and sharded send paths).
   void validate_sent(NodeId v, std::vector<SentRecord>& sink, std::size_t mark,
@@ -250,38 +224,16 @@ class UnicastEngine {
   void send_phase_sharded(Round r, std::size_t shards);
   void deliver_sharded(Round r, std::size_t shards);
 
-  /// Records one probe sample at round r when the probe's stride says so
-  /// (`flush` forces a final sample so per-round sums stay exact at any
-  /// stride).  Only called with a probe attached.
-  void probe_observe(Round r, std::uint64_t edges, bool flush);
-
   std::vector<std::unique_ptr<UnicastAlgorithm>> nodes_;
   Adversary& adversary_;
-  std::vector<KnowledgeSet> knowledge_;
-  std::size_t k_;
-  std::size_t complete_nodes_ = 0;
+  RunHarness run_;  ///< knowledge mirror, metrics, faults, probe, termination
   std::unique_ptr<DynamicGraphTracker> owned_tracker_;
   DynamicGraphTracker* tracker_;
-  RunMetrics metrics_;
   LearningLog log_;
-  Round start_offset_;
   Round round_;
   std::uint32_t max_payloads_per_edge_;
   ThreadPool* pool_;
   std::size_t min_parallel_nodes_;
-  FaultPlan* faults_;
-  bool fault_active_;    ///< faults_ != null && faults_->active()
-  bool fault_amnesia_;   ///< fault_active_ && amnesia wipes on crash
-  double run_timeout_seconds_;
-  Telemetry telemetry_;
-  // Probe bookkeeping (touched only when telemetry_.probe != nullptr):
-  // metrics snapshot at the last recorded sample (samples carry per-round
-  // deltas), fault-fate counters accumulated across stride-skipped rounds,
-  // and the last round graph's edge count for the final flush sample.
-  RunMetrics probe_prev_;
-  std::uint64_t probe_dropped_ = 0;
-  std::uint64_t probe_duplicated_ = 0;
-  std::uint64_t probe_edges_ = 0;
   RoundHook hook_;
   std::vector<SentRecord> prev_messages_;
   RoundGraphPlane plane_;                 ///< G_r: CSR view, checks, tracker
@@ -290,7 +242,7 @@ class UnicastEngine {
   /// incident edge was inserted, a payload delivered or it recovered since).
   /// Written by the shard that owns the node, or serially.
   std::vector<std::uint8_t> awake_;
-  // Crash bookkeeping (touched only when fault_active_): the round each
+  // Crash bookkeeping (touched only under an active fault plan): the round each
   // crashed node went down and its (neighbor, since) pairs at that moment,
   // which its recovery restores (see rebase_recovered()).
   std::vector<Round> crashed_at_;
@@ -298,7 +250,7 @@ class UnicastEngine {
   // Per-round scratch, reused across rounds (see step()).
   std::vector<SentRecord> traffic_;       ///< round-r records (swapped into prev)
   std::vector<std::uint32_t> arc_budget_; ///< payload counts per directed arc
-  // Fault-path scratch (touched only when fault_active_), reused across
+  // Fault-path scratch (touched only under an active fault plan), reused across
   // rounds: per-record delivery fates and per-arc delivery sequences.
   std::vector<std::uint8_t> fate_;        ///< FaultPlan::Fate per traffic record
   std::vector<std::uint32_t> arc_seq_;    ///< delivery sequence per directed arc

@@ -35,9 +35,7 @@ RunResult run_single_source(std::size_t n, std::uint32_t k, NodeId source,
   SingleSourceConfig cfg{n, k, source};
   UnicastEngineOptions opts;
   opts.pool = pool;
-  opts.faults = faults;
-  opts.run_timeout_seconds = timeout_seconds;
-  opts.telemetry = telemetry;
+  opts.env() = {faults, timeout_seconds, telemetry};
   UnicastEngine engine(SingleSourceNode::make_all(cfg), adversary,
                        SingleSourceNode::initial_knowledge(cfg), k, opts);
   return finish(engine.run(max_rounds));
@@ -50,9 +48,7 @@ RunResult run_multi_source(std::size_t n, const TokenSpacePtr& space,
   MultiSourceConfig cfg{n, space};
   UnicastEngineOptions opts;
   opts.pool = pool;
-  opts.faults = faults;
-  opts.run_timeout_seconds = timeout_seconds;
-  opts.telemetry = telemetry;
+  opts.env() = {faults, timeout_seconds, telemetry};
   UnicastEngine engine(MultiSourceNode::make_all(cfg), adversary,
                        space->initial_knowledge(n), space->total_tokens(), opts);
   return finish(engine.run(max_rounds));
@@ -65,9 +61,7 @@ RunResult run_spanning_tree(std::size_t n, const TokenSpacePtr& space,
   SpanningTreeConfig cfg{n, space, root};
   UnicastEngineOptions opts;
   opts.pool = pool;
-  opts.faults = faults;
-  opts.run_timeout_seconds = timeout_seconds;
-  opts.telemetry = telemetry;
+  opts.env() = {faults, timeout_seconds, telemetry};
   UnicastEngine engine(SpanningTreeNode::make_all(cfg), adversary,
                        space->initial_knowledge(n), space->total_tokens(), opts);
   return finish(engine.run(max_rounds));
@@ -80,9 +74,7 @@ RunResult run_phase_flooding(std::size_t n, std::size_t k,
                              double timeout_seconds, Telemetry telemetry) {
   BroadcastEngineOptions opts;
   opts.pool = pool;
-  opts.faults = faults;
-  opts.run_timeout_seconds = timeout_seconds;
-  opts.telemetry = telemetry;
+  opts.env() = {faults, timeout_seconds, telemetry};
   BroadcastEngine engine(PhaseFloodingNode::make_all(n, k, initial), adversary,
                          initial, k, opts);
   return finish(engine.run(max_rounds));
@@ -96,9 +88,7 @@ RunResult run_random_flooding(std::size_t n, std::size_t k,
                               Telemetry telemetry) {
   BroadcastEngineOptions opts;
   opts.pool = pool;
-  opts.faults = faults;
-  opts.run_timeout_seconds = timeout_seconds;
-  opts.telemetry = telemetry;
+  opts.env() = {faults, timeout_seconds, telemetry};
   BroadcastEngine engine(RandomFloodingNode::make_all(n, k, initial, seed),
                          adversary, initial, k, opts);
   return finish(engine.run(max_rounds));
@@ -181,9 +171,7 @@ ObliviousMsResult run_oblivious_multi_source(std::size_t n,
   UnicastEngineOptions ueopts;
   ueopts.tracker = &tracker;
   ueopts.pool = opts.pool;
-  ueopts.faults = opts.faults;
-  ueopts.run_timeout_seconds = opts.timeout_seconds;
-  ueopts.telemetry = opts.telemetry;
+  ueopts.env() = {opts.faults, opts.timeout_seconds, opts.telemetry};
   UnicastEngine phase1(std::move(walkers), adversary,
                        space->initial_knowledge(n), k, ueopts);
 
@@ -234,9 +222,7 @@ ObliviousMsResult run_oblivious_multi_source(std::size_t n,
   UnicastEngineOptions p2opts;
   p2opts.tracker = &tracker;
   p2opts.pool = opts.pool;
-  p2opts.faults = opts.faults;
-  p2opts.run_timeout_seconds = opts.timeout_seconds;
-  p2opts.telemetry = opts.telemetry;
+  p2opts.env() = {opts.faults, opts.timeout_seconds, opts.telemetry};
   p2opts.start_round = phase1.round() + 1;
   // Build the nodes before handing `carried` to the engine (argument
   // evaluation order must not race with the move).

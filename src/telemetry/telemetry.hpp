@@ -14,9 +14,10 @@ namespace dyngossip {
 class RoundProbe;
 class TimelineRecorder;
 
-/// Non-owning observer pointers, passed by value through the option
-/// structs (UnicastEngineOptions / BroadcastEngineOptions /
-/// AlgoBuildContext) and the simulator entry points.
+/// Non-owning observer pointers, passed by value through RunEnv (the base
+/// of UnicastEngineOptions / BroadcastEngineOptions / AsyncEngineOptions,
+/// see engine/run_harness.hpp), AlgoBuildContext and the simulator entry
+/// points.
 struct Telemetry {
   RoundProbe* probe = nullptr;
   TimelineRecorder* timeline = nullptr;

@@ -225,11 +225,11 @@ LoggedRun run_logged(ThreadPool* pool, bool faulty) {
                        SingleSourceNode::initial_knowledge(cfg), k, opts);
   std::uint64_t live_node_rounds = 0;
   const Round cap = 40 * k + n;
-  while (!engine.run_complete() && engine.round() < cap) {
+  while (!engine.harness().run_complete() && engine.round() < cap) {
     engine.step();
     live_node_rounds += faulty ? plan.live_count() : n;
   }
-  const RunResult result{engine.metrics(), engine.metrics().rounds, engine.run_complete()};
+  const RunResult result{engine.metrics(), engine.metrics().rounds, engine.harness().run_complete()};
   run.checksum = run_payload_checksum(n, k, result);
   std::uint64_t calls = 0;
   for (const std::vector<Round>& c : run.calls) calls += c.size();
