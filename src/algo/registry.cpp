@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "async/async_engine.hpp"
-#include "core/multi_source.hpp"
 #include "core/neighbor_exchange.hpp"
-#include "core/single_source.hpp"
 #include "core/tokens.hpp"
-#include "engine/unicast_engine.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace_format.hpp"
 #include "trace/trace_reader.hpp"
@@ -47,13 +45,14 @@ class SpecReader : public SpecValues {
   const AlgoBuildContext& ctx_;
 };
 
-/// The run's round cap: explicit, or the shared 200·n·k default every
-/// traced run has used since PR 3.
+/// The run's round cap: explicit, or the shared 200·n·k default of every
+/// traced run, saturated at the largest Round (a wrapped product would
+/// silently cut a large run to a few rounds).
 [[nodiscard]] Round cap_of(const AlgoBuildContext& ctx) {
-  return ctx.cap > 0
-             ? ctx.cap
-             : static_cast<Round>(200ull * ctx.n *
-                                  std::max<std::uint32_t>(ctx.k, 1));
+  if (ctx.cap > 0) return ctx.cap;
+  return static_cast<Round>(std::min<std::uint64_t>(
+      200ull * ctx.n * std::max<std::uint32_t>(ctx.k, 1),
+      std::numeric_limits<Round>::max()));
 }
 
 /// The canonical s-source token placement (identical to the historical
@@ -70,14 +69,6 @@ class SpecReader : public SpecValues {
          std::max<std::uint32_t>(1, k / static_cast<std::uint32_t>(s))});
   }
   return std::make_shared<TokenSpace>(TokenSpace::contiguous(specs));
-}
-
-[[nodiscard]] RunResult finish(const RunMetrics& metrics) {
-  RunResult result;
-  result.metrics = metrics;
-  result.rounds = metrics.rounds;
-  result.completed = metrics.completed;
-  return result;
 }
 
 /// The token-labelling families derive K_v(0) from their TokenSpace; an
@@ -111,13 +102,8 @@ RunResult run_single_source_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
   const std::size_t source = r.get_size("source", 0);
   if (source >= ctx.n) fail("single_source: source must be < n");
   ctx.k_realized = ctx.k;
-  SingleSourceConfig cfg{ctx.n, ctx.k, static_cast<NodeId>(source), priority};
-  UnicastEngineOptions opts;
-  opts.pool = ctx.engine_pool;
-  opts.env() = {ctx.faults, ctx.trial_timeout_seconds, ctx.telemetry};
-  UnicastEngine engine(SingleSourceNode::make_all(cfg), adversary,
-                       SingleSourceNode::initial_knowledge(cfg), ctx.k, opts);
-  return finish(engine.run(cap_of(ctx)));
+  return run_single_source(ctx.n, ctx.k, static_cast<NodeId>(source), adversary,
+                           cap_of(ctx), ctx.engine_pool, ctx, priority);
 }
 
 RunResult run_multi_source_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
@@ -128,8 +114,7 @@ RunResult run_multi_source_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
       spread_space(ctx.n, ctx.k, r.sources(ctx.sources));
   ctx.k_realized = space->total_tokens();
   return run_multi_source(ctx.n, space, adversary, cap_of(ctx),
-                          ctx.engine_pool, ctx.faults,
-                          ctx.trial_timeout_seconds, ctx.telemetry);
+                          ctx.engine_pool, ctx);
 }
 
 /// Shared K_v(0) selection for the knowledge-shaped broadcast/push
@@ -156,8 +141,7 @@ RunResult run_flooding_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
   const std::vector<KnowledgeSet> initial = initial_of(spec, ctx, &ctx.k_realized);
   return run_phase_flooding(ctx.n, static_cast<std::size_t>(ctx.k_realized),
                             initial, adversary, cap_of(ctx), ctx.engine_pool,
-                            ctx.faults, ctx.trial_timeout_seconds,
-                            ctx.telemetry);
+                            ctx);
 }
 
 RunResult run_random_flooding_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
@@ -166,17 +150,15 @@ RunResult run_random_flooding_family(const AlgoSpec& spec, AlgoBuildContext& ctx
   const std::vector<KnowledgeSet> initial = initial_of(spec, ctx, &ctx.k_realized);
   return run_random_flooding(ctx.n, static_cast<std::size_t>(ctx.k_realized),
                              initial, adversary, cap_of(ctx), r.seed(),
-                             ctx.engine_pool, ctx.faults,
-                             ctx.trial_timeout_seconds, ctx.telemetry);
+                             ctx.engine_pool, ctx);
 }
 
 RunResult run_neighbor_exchange_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
                                        Adversary& adversary) {
   const std::vector<KnowledgeSet> initial = initial_of(spec, ctx, &ctx.k_realized);
-  return finish(run_neighbor_exchange(
-      ctx.n, static_cast<std::size_t>(ctx.k_realized), initial, adversary,
-      cap_of(ctx), ctx.engine_pool, ctx.faults, ctx.trial_timeout_seconds,
-      ctx.telemetry));
+  return run_neighbor_exchange(ctx.n, static_cast<std::size_t>(ctx.k_realized),
+                               initial, adversary, cap_of(ctx),
+                               ctx.engine_pool, ctx);
 }
 
 RunResult run_oblivious_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
@@ -187,17 +169,14 @@ RunResult run_oblivious_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
       spread_space(ctx.n, ctx.k, r.sources(ctx.sources));
   ctx.k_realized = space->total_tokens();
   ObliviousMsOptions opts;
+  opts.env() = ctx;
   opts.seed = r.seed();
   opts.max_rounds = cap_of(ctx);  // same 200·n·k default as every family
   opts.force_phase1 = r.get_bool("force_phase1", false);
   opts.f_override = r.get_size("f", 0);
   opts.pool = ctx.engine_pool;
-  opts.faults = ctx.faults;
-  opts.timeout_seconds = ctx.trial_timeout_seconds;
-  opts.telemetry = ctx.telemetry;
-  const ObliviousMsResult result =
-      run_oblivious_multi_source(ctx.n, space, adversary, opts);
-  return finish(result.total);
+  return RunResult::of(
+      run_oblivious_multi_source(ctx.n, space, adversary, opts).total);
 }
 
 RunResult run_spanning_tree_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
@@ -209,9 +188,7 @@ RunResult run_spanning_tree_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
   const TokenSpacePtr space = spread_space(ctx.n, ctx.k, r.sources(1));
   ctx.k_realized = space->total_tokens();
   return run_spanning_tree(ctx.n, space, adversary, cap_of(ctx),
-                           static_cast<NodeId>(root), ctx.engine_pool,
-                           ctx.faults, ctx.trial_timeout_seconds,
-                           ctx.telemetry);
+                           static_cast<NodeId>(root), ctx.engine_pool, ctx);
 }
 
 /// Shared core of the asynchronous push / push-pull families: knowledge-
@@ -229,12 +206,12 @@ RunResult run_async_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
   if (!(opts.sigma > 0.0)) fail(spec.family + ": sigma must be > 0");
   opts.push_pull = push_pull;
   opts.seed = r.seed();
-  opts.env() = {ctx.faults, ctx.trial_timeout_seconds, ctx.telemetry};
+  opts.env() = ctx;
   const std::vector<KnowledgeSet> initial =
       initial_of(spec, ctx, &ctx.k_realized);
   AsyncEngine engine(adversary, initial,
                      static_cast<std::size_t>(ctx.k_realized), opts);
-  return finish(engine.run(cap_of(ctx)));
+  return RunResult::of(engine.run(cap_of(ctx)));
 }
 
 RunResult run_async_push_family(const AlgoSpec& spec, AlgoBuildContext& ctx,

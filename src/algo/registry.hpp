@@ -34,12 +34,11 @@
 #include "adversary/registry.hpp"
 #include "common/knowledge_set.hpp"
 #include "common/spec.hpp"
+#include "engine/run_harness.hpp"
 #include "sim/config.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace dyngossip {
 
-class FaultPlan;
 class ThreadPool;
 
 /// Thrown on malformed algorithm spec text, unknown families/keys,
@@ -85,8 +84,10 @@ using AlgoKeySpec = SpecKey;
 /// Run-side inputs shared by every algorithm factory.  The spec's own keys
 /// (sources=, seed=, ...) always win over the context's defaults, so a
 /// fully-pinned spec reproduces one run while a bare family follows the
-/// scenario row.
-struct AlgoBuildContext {
+/// scenario row.  The RunEnv base (fault plan, wall-clock budget,
+/// telemetry) is forwarded to every engine the family builds, both phases
+/// of a two-phase run included.
+struct AlgoBuildContext : RunEnv {
   std::size_t n = 64;       ///< nodes
   std::uint32_t k = 128;    ///< requested token count
   /// Default source count for the inherently multi-source families
@@ -95,7 +96,7 @@ struct AlgoBuildContext {
   /// default to 1 source instead so `--algo=flooding:` is the flooding
   /// analogue of the same single-source task.
   std::size_t sources = 4;
-  Round cap = 0;            ///< round cap; 0 derives 200·n·k
+  Round cap = 0;            ///< round cap; 0 derives 200·n·k (saturating)
   /// Seed for algorithm-side randomness (random_flooding's token picks,
   /// the oblivious walk/center election); spec seed= wins.  Deterministic
   /// families ignore it.
@@ -110,17 +111,6 @@ struct AlgoBuildContext {
   /// non-pool thread (sim/runner/shard_schedule.hpp decides which axis a
   /// table parallelizes); results are bit-identical either way.
   ThreadPool* engine_pool = nullptr;
-  /// Per-trial fault plan (not owned; null: fault-free).  Forwarded to the
-  /// engine(s) the family builds; decisions are position-keyed so results
-  /// stay bit-identical at any thread count (see fault/fault_plan.hpp).
-  FaultPlan* faults = nullptr;
-  /// Wall-clock budget per run in seconds (0: none); over-budget runs
-  /// return RunStatus::kTimeout.
-  double trial_timeout_seconds = 0.0;
-  /// Observer plane (telemetry/telemetry.hpp) forwarded to every engine the
-  /// family builds (both phases of a two-phase run).  Null members keep the
-  /// exact legacy code path; attached observers never change results.
-  Telemetry telemetry;
   /// Out: realized token count (k rounded to the realized labelling, e.g.
   /// s·⌊k/s⌋ under an s-source split).  Set by every factory.
   std::uint64_t k_realized = 0;

@@ -1,8 +1,10 @@
 #include "cache/memo_sweep.hpp"
 
+#include <memory>
 #include <utility>
 
 #include "algo/registry.hpp"
+#include "fault/fault_plan.hpp"
 #include "sim/runner/parallel.hpp"
 #include "sim/runner/shard_schedule.hpp"
 
@@ -34,6 +36,31 @@ RunKey make_run_key(std::string algo, std::string adversary, std::string fault,
   key.cap = cap;
   key.seed = seed;
   return key;
+}
+
+KeyedTrial keyed_trial(RunKey key, Telemetry telemetry, double timeout_seconds) {
+  KeyedTrial trial;
+  trial.cacheable =
+      !telemetry.active() &&
+      cacheable_adversary_family(key.adversary.substr(0, key.adversary.find(':')));
+  trial.run = [key, telemetry, timeout_seconds](ThreadPool* engine_pool) {
+    const AlgoSpec algo = AlgoSpec::parse(key.algo);
+    const std::unique_ptr<Adversary> adversary =
+        build_adversary(AdversarySpec::parse(key.adversary), key.n, key.seed);
+    FaultPlan plan(FaultSpec::parse(key.fault), key.n, key.seed);
+    AlgoBuildContext ctx;
+    ctx.n = key.n;
+    ctx.k = key.k;
+    ctx.sources = key.sources;
+    ctx.cap = key.cap;
+    ctx.seed = key.seed;
+    ctx.engine_pool = engine_pool;
+    ctx.env() = {&plan, timeout_seconds, telemetry};
+    const RunResult run = run_algo(algo, ctx, *adversary);
+    return make_cached_result(key.n, ctx.k_realized, run);
+  };
+  trial.key = std::move(key);
+  return trial;
 }
 
 std::vector<MemoOutcome> memoized_sweep(const std::vector<KeyedTrial>& trials,

@@ -18,6 +18,7 @@
 
 #include "cache/result_cache.hpp"
 #include "sim/runner/thread_pool.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace dyngossip {
 
@@ -56,5 +57,18 @@ struct MemoOutcome {
                                   std::string fault, std::size_t n,
                                   std::uint32_t k, std::size_t sources,
                                   Round cap, std::uint64_t seed);
+
+/// The one trial body behind a key: every row a RunKey names is computed
+/// here.  `run(engine_pool)` parses the key's canonical algo, adversary and
+/// fault specs (exact round-trips: doubles render %.17g), builds the
+/// schedule through AdversaryRegistry and a FaultPlan from {n, seed}, runs
+/// run_algo with the key's n, k, sources, cap and seed, and folds the row.
+/// Telemetry and the wall-clock budget are the only inputs outside the
+/// key: attached observers make the trial uncacheable (their series must
+/// cover every trial), and a budget only ever yields an unstored kTimeout.
+/// `cacheable` also applies cacheable_adversary_family to the key's
+/// schedule family.
+[[nodiscard]] KeyedTrial keyed_trial(RunKey key, Telemetry telemetry = {},
+                                     double timeout_seconds = 0.0);
 
 }  // namespace dyngossip

@@ -27,14 +27,6 @@ CachedResult make_cached_result(std::size_t n, std::uint64_t k_realized,
   return row;
 }
 
-RunResult to_run_result(const CachedResult& row) {
-  RunResult run;
-  run.metrics = row.metrics;
-  run.rounds = row.metrics.rounds;
-  run.completed = row.metrics.completed;
-  return run;
-}
-
 bool cache_should_store(RunStatus status) noexcept {
   return status != RunStatus::kTimeout && status != RunStatus::kStalled;
 }
@@ -171,9 +163,8 @@ struct DecodedEntry {
   }
   row.checksum = sum;
 
-  const RunResult run = to_run_result(row);
-  if (run_payload_checksum(n_from_key_text(e.key_text), row.k_realized, run) !=
-      sum) {
+  if (run_payload_checksum(n_from_key_text(e.key_text), row.k_realized,
+                           RunResult::of(row.metrics)) != sum) {
     throw std::runtime_error("stored checksum does not re-fold from fields");
   }
   return e;

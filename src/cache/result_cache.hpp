@@ -53,9 +53,6 @@ struct CachedResult {
                                               std::uint64_t k_realized,
                                               const RunResult& run);
 
-/// Reconstructs the RunResult a cached row stands for.
-[[nodiscard]] RunResult to_run_result(const CachedResult& row);
-
 /// The write-back policy: only terminal, host-independent outcomes are
 /// cacheable.  kTimeout (wall-clock watchdog) and kStalled (stall-window
 /// heuristic over wall progress) depend on the machine, not the key.

@@ -11,6 +11,16 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
+std::vector<std::uint64_t> derive_sweep_seeds(std::size_t trials,
+                                              std::uint64_t base_seed) {
+  DG_CHECK(trials >= 1);
+  std::vector<std::uint64_t> seeds;
+  seeds.reserve(trials);
+  std::uint64_t sm = base_seed;
+  for (std::size_t i = 0; i < trials; ++i) seeds.push_back(splitmix64(sm));
+  return seeds;
+}
+
 namespace {
 [[nodiscard]] constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));

@@ -24,6 +24,11 @@ namespace dyngossip {
 /// SplitMix64 step; used for seeding and as a cheap hash.
 [[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
+/// The per-trial seeds of a sweep: `trials` successive SplitMix64 outputs
+/// from `base_seed`, so adjacent sweep rows never share streams.
+[[nodiscard]] std::vector<std::uint64_t> derive_sweep_seeds(std::size_t trials,
+                                                            std::uint64_t base_seed);
+
 /// xoshiro256** pseudo-random generator with convenience sampling helpers.
 ///
 /// Satisfies UniformRandomBitGenerator so it can also be handed to

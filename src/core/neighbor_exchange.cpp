@@ -50,17 +50,16 @@ std::vector<std::unique_ptr<UnicastAlgorithm>> NeighborExchangeNode::make_all(
   return nodes;
 }
 
-RunMetrics run_neighbor_exchange(std::size_t n, std::size_t k,
-                                 const std::vector<KnowledgeSet>& initial,
-                                 Adversary& adversary, Round max_rounds,
-                                 ThreadPool* pool, FaultPlan* faults,
-                                 double timeout_seconds, Telemetry telemetry) {
+RunResult run_neighbor_exchange(std::size_t n, std::size_t k,
+                                const std::vector<KnowledgeSet>& initial,
+                                Adversary& adversary, Round max_rounds,
+                                ThreadPool* pool, const RunEnv& env) {
   UnicastEngineOptions opts;
   opts.pool = pool;
-  opts.env() = {faults, timeout_seconds, telemetry};
+  opts.env() = env;
   UnicastEngine engine(NeighborExchangeNode::make_all(n, k, initial), adversary,
                        initial, k, opts);
-  return engine.run(max_rounds);
+  return RunResult::of(engine.run(max_rounds));
 }
 
 }  // namespace dyngossip

@@ -20,6 +20,7 @@
 
 #include "common/knowledge_set.hpp"
 #include "engine/unicast_engine.hpp"
+#include "sim/config.hpp"
 
 namespace dyngossip {
 
@@ -50,16 +51,14 @@ class NeighborExchangeNode final : public UnicastAlgorithm {
   std::unordered_map<NodeId, std::size_t> sent_up_to_;
 };
 
-/// Runs the baseline to completion (or the round cap).  Optional worker
-/// pool, fault plan, and wall-clock budget forward to the engine (same
-/// contract as the sim/simulator.hpp entry points).
-[[nodiscard]] RunMetrics run_neighbor_exchange(std::size_t n, std::size_t k,
-                                               const std::vector<KnowledgeSet>& initial,
-                                               Adversary& adversary,
-                                               Round max_rounds,
-                                               ThreadPool* pool = nullptr,
-                                               FaultPlan* faults = nullptr,
-                                               double timeout_seconds = 0.0,
-                                               Telemetry telemetry = {});
+/// Runs the baseline to completion (or the round cap).  The optional
+/// worker pool and run environment forward to the engine (same contract as
+/// the sim/simulator.hpp entry points).
+[[nodiscard]] RunResult run_neighbor_exchange(std::size_t n, std::size_t k,
+                                              const std::vector<KnowledgeSet>& initial,
+                                              Adversary& adversary,
+                                              Round max_rounds,
+                                              ThreadPool* pool = nullptr,
+                                              const RunEnv& env = {});
 
 }  // namespace dyngossip

@@ -26,9 +26,10 @@ namespace dyngossip {
 
 class ThreadPool;
 
-/// The cross-cutting planes of one run; every engine's options inherit it,
-/// so `opts.faults = …` works on each and `opts.env() = {…}` fills all
-/// three fields in one statement.
+/// The cross-cutting planes of one run, declared once: the three engines'
+/// options, AlgoBuildContext and ObliviousMsOptions inherit it and the
+/// sim/simulator.hpp entry points take it, so `opts.faults = …` works on
+/// each and `opts.env() = ctx` forwards all three fields in one statement.
 struct RunEnv {
   /// Per-trial fault plan (not owned; multi-phase executions share one).
   /// Null or inactive keeps the exact fault-free code path.  All fault

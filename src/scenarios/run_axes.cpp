@@ -6,7 +6,6 @@
 
 #include "cache/memo_sweep.hpp"
 #include "common/table.hpp"
-#include "fault/fault_plan.hpp"
 #include "telemetry/round_probe.hpp"
 #include "trace/run_payload.hpp"
 #include "trace/trace_reader.hpp"
@@ -159,10 +158,12 @@ ScenarioTable run_axes_table(const ScenarioContext& ctx, const RunAxes& axes,
   }
 
   // Keyed trials for the memoized sweep scheduler: each trial's identity is
-  // its canonical (algo × adversary × fault × shape × seed) tuple, so a
-  // warm re-run serves rows straight from the cache.  Attached observers
-  // force cold runs (series must cover every trial); file-backed adversary
-  // families are never cacheable (the key cannot pin the file's content).
+  // its canonical (algo × adversary × fault × shape × seed) tuple and
+  // keyed_trial computes the row from it, so a warm re-run serves rows
+  // straight from the cache.  The trial seed also seeds the per-trial
+  // fault plan (a spec seed= pin wins inside the plan); decisions are
+  // position-keyed, so the outcome is identical whichever parallelism axis
+  // runs the trial.
   const std::string fault_text = axes.fault_spec().to_string();
   std::vector<KeyedTrial> sweep;
   sweep.reserve(rows.size() * trials);
@@ -170,40 +171,18 @@ ScenarioTable run_axes_table(const ScenarioContext& ctx, const RunAxes& axes,
     for (std::size_t i = 0; i < trials; ++i) {
       const AxisRowSpec& row = rows[r];
       const std::uint64_t seed = seed_base + 37 * row.n + i;
+      // Row default consulted only when the adversary axis is NOT
+      // overridden (i.e. an --algo-only run over the scenario's own
+      // schedule family).
       const AdversarySpec& adv =
           axes.adversary_overridden() ? axes.adversary_spec() : row.def;
-      KeyedTrial trial;
-      trial.key = make_run_key(algo_text, adv.to_string(), fault_text, row.n,
-                               row.k, row.sources, row.cap, seed);
-      trial.cacheable = sink == nullptr && timeline == nullptr &&
-                        cacheable_adversary_family(adv.family);
-      trial.run = [&rows, &axes, &algo, &probes, sink, timeline, trials, seed,
-                   r, i](ThreadPool* engine_pool) {
-        const AxisRowSpec& row = rows[r];
-        // Row default consulted only when the adversary axis is NOT
-        // overridden (i.e. an --algo-only run over the scenario's own
-        // schedule family).
-        const std::unique_ptr<Adversary> adversary =
-            axes.build(row.def, row.n, seed);
-        // Per-trial fault plan, seeded from the trial seed (a spec seed=
-        // pin wins inside the plan) — decisions are position-keyed, so the
-        // outcome is identical whichever parallelism axis runs this trial.
-        FaultPlan plan(axes.fault_spec(), row.n, seed);
-        AlgoBuildContext actx;
-        actx.n = row.n;
-        actx.k = row.k;
-        actx.sources = row.sources;
-        actx.cap = row.cap;
-        actx.seed = seed;
-        actx.engine_pool = engine_pool;
-        actx.faults = &plan;
-        actx.trial_timeout_seconds = axes.trial_timeout();
-        if (sink != nullptr) actx.telemetry.probe = &probes[r * trials + i];
-        actx.telemetry.timeline = timeline;
-        const RunResult res = run_algo(algo, actx, *adversary);
-        return make_cached_result(row.n, actx.k_realized, res);
-      };
-      sweep.push_back(std::move(trial));
+      Telemetry telemetry;
+      if (sink != nullptr) telemetry.probe = &probes[r * trials + i];
+      telemetry.timeline = timeline;
+      sweep.push_back(keyed_trial(
+          make_run_key(algo_text, adv.to_string(), fault_text, row.n, row.k,
+                       row.sources, row.cap, seed),
+          telemetry, axes.trial_timeout()));
     }
   }
   const std::vector<MemoOutcome> out =

@@ -135,7 +135,7 @@ struct AxisRowSpec {
 [[nodiscard]] std::vector<ParamSpec> scenario_algo_axis_params();
 
 /// scenario_algo_axis_params plus the --fault axis (the flagships that run
-/// through run_axes_table, which injects a per-trial FaultPlan).
+/// through run_axes_table, whose keyed trials build a per-trial FaultPlan).
 [[nodiscard]] std::vector<ParamSpec> scenario_fault_axis_params();
 
 /// The shared override table: runs the effective algorithm (the --algo

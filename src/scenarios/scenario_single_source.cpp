@@ -10,7 +10,6 @@
 // scenario's default churn family) instead of the default three-regime
 // grid.
 
-#include <memory>
 #include <vector>
 
 #include "cache/memo_sweep.hpp"
@@ -20,7 +19,6 @@
 #include "scenarios/run_axes.hpp"
 #include "scenarios/scenarios.hpp"
 #include "sim/bounds.hpp"
-#include "sim/simulator.hpp"
 #include "telemetry/round_probe.hpp"
 
 namespace dyngossip {
@@ -54,17 +52,6 @@ AdversarySpec case_spec(const Case& c, std::size_t n, std::size_t target_edges) 
   spec.set("edges", static_cast<std::uint64_t>(target_edges))
       .set("churn", static_cast<std::uint64_t>(n / 8));
   return spec;
-}
-
-CachedResult run_trial(const Case& c, std::size_t n, std::uint32_t k,
-                       Round horizon, std::size_t target_edges,
-                       std::uint64_t seed, ThreadPool* engine_pool,
-                       Telemetry telemetry) {
-  const std::unique_ptr<Adversary> adversary =
-      build_adversary(case_spec(c, n, target_edges), n, seed);
-  const RunResult r = run_single_source(n, k, 0, *adversary, horizon,
-                                        engine_pool, nullptr, 0.0, telemetry);
-  return make_cached_result(n, k, r);
 }
 
 ScenarioResult run(const ScenarioContext& ctx) {
@@ -138,9 +125,10 @@ ScenarioResult run(const ScenarioContext& ctx) {
   }
 
   // The memoized sweep: every trial is keyed by its canonical
-  // (algo × adversary × shape × seed) tuple, so a --cache= re-run serves
-  // the grid from disk and skips straight to aggregation.  Attached
-  // observers force cold runs (series must cover every trial).
+  // (algo × adversary × shape × seed) tuple and computed from it by
+  // keyed_trial, so a --cache= re-run serves the grid from disk and skips
+  // straight to aggregation.  Attached observers force cold runs (series
+  // must cover every trial).
   const std::string fault_text = FaultSpec{}.to_string();
   std::vector<KeyedTrial> sweep;
   sweep.reserve(rows.size() * seeds);
@@ -152,21 +140,14 @@ ScenarioResult run(const ScenarioContext& ctx) {
       // horizon the trial really runs is what the key must pin).
       const Round horizon =
           spec.c.cut_p >= 1.0 ? static_cast<Round>(50 * spec.n) : spec.cap;
-      KeyedTrial trial;
-      trial.key = make_run_key(
-          "single_source", case_spec(spec.c, spec.n, spec.target_edges).to_string(),
-          fault_text, spec.n, spec.k, 1, horizon, seed);
-      trial.cacheable = sink == nullptr && timeline == nullptr;
-      trial.run = [&rows, &probes, sink, timeline, seeds, seed, horizon, r,
-                   i](ThreadPool* engine_pool) {
-        const RowSpec& spec = rows[r];
-        Telemetry telemetry;
-        if (sink != nullptr) telemetry.probe = &probes[r * seeds + i];
-        telemetry.timeline = timeline;
-        return run_trial(spec.c, spec.n, spec.k, horizon, spec.target_edges,
-                         seed, engine_pool, telemetry);
-      };
-      sweep.push_back(std::move(trial));
+      Telemetry telemetry;
+      if (sink != nullptr) telemetry.probe = &probes[r * seeds + i];
+      telemetry.timeline = timeline;
+      sweep.push_back(keyed_trial(
+          make_run_key("single_source",
+                       case_spec(spec.c, spec.n, spec.target_edges).to_string(),
+                       fault_text, spec.n, spec.k, 1, horizon, seed),
+          telemetry));
     }
   }
   const std::vector<MemoOutcome> out =

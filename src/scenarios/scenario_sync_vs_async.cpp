@@ -65,25 +65,6 @@ std::string ring_base_trace(std::size_t n, Round rounds) {
   return path.string();
 }
 
-/// One (algo × adversary × shape × seed) trial dispatched through run_algo
-/// — the same entry point the axis tables and trace record/replay use.
-CachedResult run_pair_trial(const AlgoSpec& algo, const AdversarySpec& adv,
-                            std::size_t n, std::uint32_t k, Round cap,
-                            std::uint64_t seed, ThreadPool* engine_pool,
-                            Telemetry telemetry) {
-  const std::unique_ptr<Adversary> adversary = build_adversary(adv, n, seed);
-  AlgoBuildContext actx;
-  actx.n = n;
-  actx.k = k;
-  actx.sources = 1;
-  actx.cap = cap;
-  actx.seed = seed;
-  actx.engine_pool = engine_pool;
-  actx.telemetry = telemetry;
-  const RunResult res = run_algo(algo, actx, *adversary);
-  return make_cached_result(n, actx.k_realized, res);
-}
-
 /// The engine tag of an algorithm spec ("unicast" / "broadcast" / "async").
 const char* engine_of(const AlgoSpec& algo) {
   return algo_engine_name(AlgoRegistry::global().find(algo.family)->engine);
@@ -118,22 +99,13 @@ ScenarioTable grid_table(const ScenarioContext& ctx,
     for (std::size_t i = 0; i < trials; ++i) {
       const GridCell& cell = cells[c];
       const std::uint64_t seed = seed_base + 37 * cell.n + i;
-      KeyedTrial trial;
-      trial.key =
+      Telemetry telemetry;
+      if (sink != nullptr) telemetry.probe = &probes[c * trials + i];
+      telemetry.timeline = timeline;
+      sweep.push_back(keyed_trial(
           make_run_key(cell.algo.to_string(), cell.adv.to_string(), fault_text,
-                       cell.n, cell.k, 1, cell.cap, seed);
-      trial.cacheable = sink == nullptr && timeline == nullptr &&
-                        cacheable_adversary_family(cell.adv.family);
-      trial.run = [&cells, &probes, sink, timeline, trials, seed, c,
-                   i](ThreadPool* engine_pool) {
-        const GridCell& cell = cells[c];
-        Telemetry telemetry;
-        if (sink != nullptr) telemetry.probe = &probes[c * trials + i];
-        telemetry.timeline = timeline;
-        return run_pair_trial(cell.algo, cell.adv, cell.n, cell.k, cell.cap,
-                              seed, engine_pool, telemetry);
-      };
-      sweep.push_back(std::move(trial));
+                       cell.n, cell.k, 1, cell.cap, seed),
+          telemetry));
     }
   }
   const std::vector<MemoOutcome> out =

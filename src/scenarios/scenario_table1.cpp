@@ -1,13 +1,13 @@
 // Scenario `table1` — Table 1 (Section 3.2.2): amortized message complexity
 // of the oblivious algorithm for the paper's four token-count regimes.
 //
-// The per-row sweep keeps sweep_seeds' SplitMix64
-// seed derivation (via derive_sweep_seeds) and folds samples in trial order
-// with Summary::of, so the statistics are bit-identical to the serial bench
-// at any thread count.  The default churn schedule opts into the global
-// --adversary=/--trace= axis (the oblivious analysis needs an oblivious
-// schedule, but probing it against others is exactly what the axis is for;
-// a trace override pins n to the recording).
+// The per-row sweep derives its trial seeds with derive_sweep_seeds
+// (common/rng.hpp) and folds samples in trial order with Summary::of, so
+// the statistics are bit-identical at any thread count.  The default
+// churn schedule opts into the global --adversary=/--trace= axis (the
+// oblivious analysis needs an oblivious schedule, but probing it against
+// others is exactly what the axis is for; a trace override pins n to the
+// recording).
 
 #include <algorithm>
 #include <memory>
@@ -15,13 +15,13 @@
 
 #include "adversary/registry.hpp"
 #include "common/mathx.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "scenarios/run_axes.hpp"
 #include "scenarios/scenarios.hpp"
 #include "sim/bounds.hpp"
 #include "sim/runner/parallel.hpp"
-#include "sim/runner/parallel_sweep.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/round_probe.hpp"
 

@@ -69,11 +69,11 @@ ScenarioResult run(const ScenarioContext& ctx) {
         {
           // Same schedule, trivial unicast push.
           const std::unique_ptr<Adversary> adversary = axes.build(churn, n, seed);
-          const RunMetrics m = run_neighbor_exchange(
+          const RunResult res = run_neighbor_exchange(
               n, k, init, *adversary, static_cast<Round>(100 * n * k));
-          if (m.completed) {
+          if (res.completed) {
             slot.push_ok = true;
-            slot.push_am = m.amortized(k);
+            slot.push_am = res.amortized(k);
           }
         }
         {

@@ -1,6 +1,8 @@
 #include "serve/protocol.hpp"
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "metrics/accounting.hpp"
 #include "trace/trace_format.hpp"
@@ -75,21 +77,31 @@ SweepRequest decode_sweep_request(const std::string& line) {
   req.algo = str_field(doc, "algo", req.algo, false);
   req.adversary = str_field(doc, "adversary", "", true);
   req.fault = str_field(doc, "fault", req.fault, false);
-  req.n = static_cast<std::size_t>(u64_field(doc, "n", 0, true));
-  req.k = static_cast<std::uint32_t>(u64_field(doc, "k", 0, true));
+  // Range-check the full 64-bit values before narrowing: a cast first
+  // would wrap an out-of-range k or cap into an accepted one.
+  const std::uint64_t n = u64_field(doc, "n", 0, true);
+  const std::uint64_t k = u64_field(doc, "k", 0, true);
   req.sources = static_cast<std::size_t>(u64_field(doc, "sources", 4, false));
-  req.cap = static_cast<Round>(u64_field(doc, "cap", 0, false));
-  req.trials = static_cast<std::size_t>(u64_field(doc, "trials", 1, false));
+  const std::uint64_t cap = u64_field(doc, "cap", 0, false);
+  const std::uint64_t trials = u64_field(doc, "trials", 1, false);
   req.seed_base = u64_field(doc, "seed_base", 0, false);
-  if (req.n < 2 || req.n > 1'000'000) {
+  if (n < 2 || n > 1'000'000) {
     throw std::runtime_error("request n must be in [2, 1000000]");
   }
-  if (req.k == 0 || req.k > 1'000'000) {
+  if (k == 0 || k > 1'000'000) {
     throw std::runtime_error("request k must be in [1, 1000000]");
   }
-  if (req.trials == 0 || req.trials > 10'000) {
+  if (cap > std::numeric_limits<Round>::max()) {
+    throw std::runtime_error("request cap must be <= " +
+                             std::to_string(std::numeric_limits<Round>::max()));
+  }
+  if (trials == 0 || trials > 10'000) {
     throw std::runtime_error("request trials must be in [1, 10000]");
   }
+  req.n = static_cast<std::size_t>(n);
+  req.k = static_cast<std::uint32_t>(k);
+  req.cap = static_cast<Round>(cap);
+  req.trials = static_cast<std::size_t>(trials);
   return req;
 }
 

@@ -122,16 +122,8 @@ void serve_connection(SweepService& service, int fd) {
     ::close(fd);
     return;
   }
-  SweepRequest req;
-  try {
-    req = decode_sweep_request(line);
-  } catch (const std::exception& e) {
-    (void)write_line(fd, encode_error(e.what()));
-    ::close(fd);
-    return;
-  }
   bool alive = true;
-  service.run_sweep(req, [fd, &alive](const std::string& out) {
+  service.run_request_line(line, [fd, &alive](const std::string& out) {
     // A vanished client must not kill the sweep mid-flight (its trials may
     // be deduped onto by other sessions); keep draining, stop writing.
     if (alive) alive = write_line(fd, out);

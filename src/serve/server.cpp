@@ -7,7 +7,6 @@
 #include "adversary/registry.hpp"
 #include "algo/registry.hpp"
 #include "cache/memo_sweep.hpp"
-#include "fault/fault_plan.hpp"
 #include "fault/fault_spec.hpp"
 
 namespace dyngossip {
@@ -81,33 +80,41 @@ namespace {
 /// the `dyngossip run` tables byte-for-byte.  Throws with a client-facing
 /// message.
 struct ResolvedSweep {
-  AlgoSpec algo;
-  AdversarySpec adversary;
-  FaultSpec fault;
   std::string algo_text;
   std::string adversary_text;
   std::string fault_text;
+  bool cacheable = false;  ///< the schedule family may use the cache
 };
 
 [[nodiscard]] ResolvedSweep resolve_sweep(const SweepRequest& req) {
-  ResolvedSweep r;
-  r.algo = AlgoSpec::parse(req.algo);
-  AlgoRegistry::global().validate(r.algo);
-  r.adversary = AdversarySpec::parse(req.adversary);
-  AdversaryRegistry::global().validate(r.adversary);
-  r.fault = FaultSpec::parse(req.fault);
+  const AlgoSpec algo = AlgoSpec::parse(req.algo);
+  AlgoRegistry::global().validate(algo);
+  const AdversarySpec adversary = AdversarySpec::parse(req.adversary);
+  AdversaryRegistry::global().validate(adversary);
+  const FaultSpec fault = FaultSpec::parse(req.fault);
   std::string why;
-  if (!algo_schedule_compatible(*AlgoRegistry::global().find(r.algo.family),
-                                r.adversary, &why)) {
+  if (!algo_schedule_compatible(*AlgoRegistry::global().find(algo.family),
+                                adversary, &why)) {
     throw AlgoSpecError(why);
   }
-  r.algo_text = r.algo.to_string();
-  r.adversary_text = r.adversary.to_string();
-  r.fault_text = r.fault.to_string();
-  return r;
+  return {algo.to_string(), adversary.to_string(), fault.to_string(),
+          cacheable_adversary_family(adversary.family)};
 }
 
 }  // namespace
+
+void SweepService::run_request_line(
+    const std::string& line,
+    const std::function<void(const std::string&)>& emit) {
+  SweepRequest req;
+  try {
+    req = decode_sweep_request(line);
+  } catch (const std::exception& e) {
+    emit(encode_error(e.what()));
+    return;
+  }
+  run_sweep(req, emit);
+}
 
 void SweepService::run_sweep(
     const SweepRequest& req,
@@ -119,7 +126,7 @@ void SweepService::run_sweep(
     emit(encode_error(e.what()));
     return;
   }
-  const bool cacheable = cacheable_adversary_family(sweep.adversary.family);
+  const bool cacheable = sweep.cacheable;
 
   // One slot per trial, resolved in admission order.  `pending` is null for
   // rows served straight from the cache.
@@ -190,35 +197,15 @@ void SweepService::run_sweep(
     const std::uint64_t digest = key.digest();
     // The trial body (engines stay serial: the pool's workers are busy
     // running tickets, so intra-round sharding would nest the pool).
-    scheduler_.enqueue(session, [this, pending, digest, sweep, req, cacheable,
-                                 seed = slot.seed, owner] {
+    scheduler_.enqueue(session, [this, pending, digest, cacheable, owner,
+                                 trial = keyed_trial(key)] {
       CachedResult row;
       std::string error;
       try {
-        const std::unique_ptr<Adversary> adversary =
-            AdversaryRegistry::global().build(sweep.adversary, [&] {
-              AdversaryBuildContext actx;
-              actx.n = req.n;
-              actx.seed = seed;
-              return actx;
-            }());
-        FaultPlan plan(sweep.fault, req.n, seed);
-        AlgoBuildContext actx;
-        actx.n = req.n;
-        actx.k = req.k;
-        actx.sources = req.sources;
-        actx.cap = req.cap;
-        actx.seed = seed;
-        actx.engine_pool = nullptr;
-        actx.faults = &plan;
-        const RunResult res = run_algo(sweep.algo, actx, *adversary);
-        row = make_cached_result(req.n, actx.k_realized, res);
+        row = trial.run(nullptr);
         if (cacheable && cache_ != nullptr &&
             cache_should_store(row.metrics.status)) {
-          RunKey key = make_run_key(sweep.algo_text, sweep.adversary_text,
-                                    sweep.fault_text, req.n, req.k,
-                                    req.sources, req.cap, seed);
-          cache_->store(key, row);
+          cache_->store(trial.key, row);
         }
       } catch (const std::exception& e) {
         error = e.what();

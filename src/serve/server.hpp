@@ -77,6 +77,11 @@ class SweepService {
   void run_sweep(const SweepRequest& req,
                  const std::function<void(const std::string&)>& emit);
 
+  /// Decodes one request line and runs it: a line decode_sweep_request
+  /// rejects emits exactly one error line and runs nothing.
+  void run_request_line(const std::string& line,
+                        const std::function<void(const std::string&)>& emit);
+
  private:
   /// One in-flight (or finished) trial computation, shared by every session
   /// waiting on the same key.

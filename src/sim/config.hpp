@@ -15,6 +15,11 @@ struct RunResult {
   Round rounds = 0;     ///< rounds executed (== metrics.rounds)
   bool completed = false;
 
+  /// The result of a finished run's (or phase-merged) metrics.
+  [[nodiscard]] static RunResult of(const RunMetrics& metrics) {
+    return {metrics, metrics.rounds, metrics.completed};
+  }
+
   /// Convenience: amortized messages per token.
   [[nodiscard]] double amortized(std::uint64_t k) const {
     return metrics.amortized(k);

@@ -16,14 +16,15 @@
 #include "cache/result_cache.hpp"
 #include "common/cli.hpp"
 #include "common/provenance.hpp"
+#include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "fault/fault_spec.hpp"
 #include "metrics/accounting.hpp"
 #include "serve/serve_cli.hpp"
 #include "sim/runner/demo_registry.hpp"
 #include "sim/runner/emit.hpp"
-#include "sim/runner/parallel_sweep.hpp"
+#include "sim/runner/parallel.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 #include "telemetry/probe_spec.hpp"
 #include "telemetry/round_probe.hpp"
 #include "telemetry/timeline.hpp"
@@ -681,10 +682,10 @@ int cmd_speedup(const CliArgs& args) {
   const double min_speedup = args.get_double("min", 0.0);
 
   // A representative paper workload: Algorithm 1 under churn, one full run
-  // per trial.  Self-contained per call, so safe at any thread count; the
-  // status/coverage slots are keyed by the trial's SplitMix64-derived seed
-  // (seeds are distinct, each trial owns one slot), so parallel writes never
-  // race and the serial pass simply rewrites identical values.
+  // per trial on the trial's SplitMix64-derived seed.  Self-contained per
+  // call, so safe at any thread count; trial i writes only slot i (the
+  // serial pass simply rewrites identical status/coverage values), and
+  // both passes fold their samples in trial order with Summary::of.
   constexpr std::uint64_t kBaseSeed = 0x5eedfeed;
   const auto k = static_cast<std::uint32_t>(2 * n);
   const std::vector<std::uint64_t> trial_seeds =
@@ -692,32 +693,30 @@ int cmd_speedup(const CliArgs& args) {
   std::vector<RunStatus> statuses(trials, RunStatus::kCompleted);
   std::vector<double> coverages(trials, 0.0);
   const auto measure = [n, k, &trial_seeds, &statuses,
-                        &coverages](std::uint64_t seed) {
+                        &coverages](std::size_t i) {
     ChurnConfig cc;
     cc.n = n;
     cc.target_edges = 3 * n;
     cc.churn_per_round = std::max<std::size_t>(1, n / 8);
     cc.sigma = 3;
-    cc.seed = seed;
+    cc.seed = trial_seeds[i];
     ChurnAdversary adversary(cc);
     const RunResult r = run_single_source(n, k, 0, adversary,
                                           static_cast<Round>(100 * n * k));
-    const auto slot = static_cast<std::size_t>(
-        std::find(trial_seeds.begin(), trial_seeds.end(), seed) -
-        trial_seeds.begin());
-    if (slot < trial_seeds.size()) {
-      statuses[slot] = r.metrics.status;
-      coverages[slot] = r.metrics.coverage;
-    }
+    statuses[i] = r.metrics.status;
+    coverages[i] = r.metrics.coverage;
     return static_cast<double>(r.metrics.unicast.total());
   };
+  std::vector<double> samples(trials);
   const auto t_serial = std::chrono::steady_clock::now();
-  const Summary serial = sweep_seeds(trials, kBaseSeed, measure);
+  for (std::size_t i = 0; i < trials; ++i) samples[i] = measure(i);
+  const Summary serial = Summary::of(samples);
   const double serial_s = seconds_since(t_serial);
 
   ThreadPool pool(threads);
   const auto t_parallel = std::chrono::steady_clock::now();
-  const Summary parallel = parallel_sweep(pool, trials, kBaseSeed, measure);
+  parallel_for(pool, trials, [&](std::size_t i) { samples[i] = measure(i); });
+  const Summary parallel = Summary::of(std::move(samples));
   const double parallel_s = seconds_since(t_parallel);
 
   const bool identical = summaries_identical(serial, parallel);

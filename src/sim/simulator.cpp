@@ -8,7 +8,6 @@
 #include "core/multi_source.hpp"
 #include "core/oblivious_ms.hpp"
 #include "core/random_flooding.hpp"
-#include "core/single_source.hpp"
 #include "core/spanning_tree.hpp"
 #include "engine/broadcast_engine.hpp"
 #include "engine/unicast_engine.hpp"
@@ -16,82 +15,66 @@
 
 namespace dyngossip {
 
-namespace {
-
-[[nodiscard]] RunResult finish(const RunMetrics& metrics) {
-  RunResult result;
-  result.metrics = metrics;
-  result.rounds = metrics.rounds;
-  result.completed = metrics.completed;
-  return result;
-}
-
-}  // namespace
-
 RunResult run_single_source(std::size_t n, std::uint32_t k, NodeId source,
                             Adversary& adversary, Round max_rounds,
-                            ThreadPool* pool, FaultPlan* faults,
-                            double timeout_seconds, Telemetry telemetry) {
-  SingleSourceConfig cfg{n, k, source};
+                            ThreadPool* pool, const RunEnv& env,
+                            RequestPriority priority) {
+  SingleSourceConfig cfg{n, k, source, priority};
   UnicastEngineOptions opts;
   opts.pool = pool;
-  opts.env() = {faults, timeout_seconds, telemetry};
+  opts.env() = env;
   UnicastEngine engine(SingleSourceNode::make_all(cfg), adversary,
                        SingleSourceNode::initial_knowledge(cfg), k, opts);
-  return finish(engine.run(max_rounds));
+  return RunResult::of(engine.run(max_rounds));
 }
 
 RunResult run_multi_source(std::size_t n, const TokenSpacePtr& space,
                            Adversary& adversary, Round max_rounds,
-                           ThreadPool* pool, FaultPlan* faults,
-                           double timeout_seconds, Telemetry telemetry) {
+                           ThreadPool* pool, const RunEnv& env) {
   MultiSourceConfig cfg{n, space};
   UnicastEngineOptions opts;
   opts.pool = pool;
-  opts.env() = {faults, timeout_seconds, telemetry};
+  opts.env() = env;
   UnicastEngine engine(MultiSourceNode::make_all(cfg), adversary,
                        space->initial_knowledge(n), space->total_tokens(), opts);
-  return finish(engine.run(max_rounds));
+  return RunResult::of(engine.run(max_rounds));
 }
 
 RunResult run_spanning_tree(std::size_t n, const TokenSpacePtr& space,
                             Adversary& adversary, Round max_rounds, NodeId root,
-                            ThreadPool* pool, FaultPlan* faults,
-                            double timeout_seconds, Telemetry telemetry) {
+                            ThreadPool* pool, const RunEnv& env) {
   SpanningTreeConfig cfg{n, space, root};
   UnicastEngineOptions opts;
   opts.pool = pool;
-  opts.env() = {faults, timeout_seconds, telemetry};
+  opts.env() = env;
   UnicastEngine engine(SpanningTreeNode::make_all(cfg), adversary,
                        space->initial_knowledge(n), space->total_tokens(), opts);
-  return finish(engine.run(max_rounds));
+  return RunResult::of(engine.run(max_rounds));
 }
 
 RunResult run_phase_flooding(std::size_t n, std::size_t k,
                              const std::vector<KnowledgeSet>& initial,
                              Adversary& adversary, Round max_rounds,
-                             ThreadPool* pool, FaultPlan* faults,
-                             double timeout_seconds, Telemetry telemetry) {
+                             ThreadPool* pool, const RunEnv& env) {
   BroadcastEngineOptions opts;
   opts.pool = pool;
-  opts.env() = {faults, timeout_seconds, telemetry};
+  opts.env() = env;
   BroadcastEngine engine(PhaseFloodingNode::make_all(n, k, initial), adversary,
                          initial, k, opts);
-  return finish(engine.run(max_rounds));
+  return RunResult::of(engine.run(max_rounds));
 }
 
 RunResult run_random_flooding(std::size_t n, std::size_t k,
                               const std::vector<KnowledgeSet>& initial,
                               Adversary& adversary, Round max_rounds,
                               std::uint64_t seed, ThreadPool* pool,
-                              FaultPlan* faults, double timeout_seconds,
-                              Telemetry telemetry) {
+                              const RunEnv& env) {
   BroadcastEngineOptions opts;
   opts.pool = pool;
-  opts.env() = {faults, timeout_seconds, telemetry};
+  opts.env() = env;
   BroadcastEngine engine(RandomFloodingNode::make_all(n, k, initial, seed),
                          adversary, initial, k, opts);
-  return finish(engine.run(max_rounds));
+  return RunResult::of(engine.run(max_rounds));
 }
 
 ObliviousMsResult run_oblivious_multi_source(std::size_t n,
@@ -117,8 +100,7 @@ ObliviousMsResult run_oblivious_multi_source(std::size_t n,
   if (small_s) {
     result.skipped_phase1 = true;
     const RunResult direct =
-        run_multi_source(n, space, adversary, max_rounds, opts.pool,
-                         opts.faults, opts.timeout_seconds, opts.telemetry);
+        run_multi_source(n, space, adversary, max_rounds, opts.pool, opts);
     result.phase2 = direct.metrics;
     result.total = direct.metrics;
     result.completed = direct.completed;
@@ -171,7 +153,7 @@ ObliviousMsResult run_oblivious_multi_source(std::size_t n,
   UnicastEngineOptions ueopts;
   ueopts.tracker = &tracker;
   ueopts.pool = opts.pool;
-  ueopts.env() = {opts.faults, opts.timeout_seconds, opts.telemetry};
+  ueopts.env() = opts;
   UnicastEngine phase1(std::move(walkers), adversary,
                        space->initial_knowledge(n), k, ueopts);
 
@@ -222,7 +204,7 @@ ObliviousMsResult run_oblivious_multi_source(std::size_t n,
   UnicastEngineOptions p2opts;
   p2opts.tracker = &tracker;
   p2opts.pool = opts.pool;
-  p2opts.env() = {opts.faults, opts.timeout_seconds, opts.telemetry};
+  p2opts.env() = opts;
   p2opts.start_round = phase1.round() + 1;
   // Build the nodes before handing `carried` to the engine (argument
   // evaluation order must not race with the move).

@@ -10,48 +10,40 @@
 #include <cstdint>
 
 #include "adversary/adversary.hpp"
+#include "core/single_source.hpp"
+#include "engine/run_harness.hpp"
 #include "sim/config.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace dyngossip {
 
-class FaultPlan;
 class ThreadPool;
 
 // Every entry point takes an optional worker pool for intra-round engine
-// sharding (null: serial engine).  See UnicastEngineOptions::pool for the
-// contract; results are bit-identical at any thread count.  The optional
-// `faults` plan (null: fault-free) and `timeout_seconds` wall-clock budget
-// (0: none) are forwarded to the engine; multi-phase executions share one
-// plan so liveness history is continuous across phases.  The optional
-// `telemetry` observer plane (telemetry/telemetry.hpp) forwards to every
-// phase engine; null members keep the exact legacy code path.
+// sharding (null: serial engine) and the run's cross-cutting planes as one
+// RunEnv (engine/run_harness.hpp: fault plan, wall-clock budget, telemetry;
+// the default is fault-free, unbounded and unobserved).  Both forward to
+// the engine; multi-phase executions share one plan so liveness history is
+// continuous across phases.  See UnicastEngineOptions::pool for the pool
+// contract; results are bit-identical at any thread count.
 
 /// Runs Algorithm 1 (Single-Source-Unicast): all k tokens start at `source`.
-[[nodiscard]] RunResult run_single_source(std::size_t n, std::uint32_t k,
-                                          NodeId source, Adversary& adversary,
-                                          Round max_rounds,
-                                          ThreadPool* pool = nullptr,
-                                          FaultPlan* faults = nullptr,
-                                          double timeout_seconds = 0.0,
-                                          Telemetry telemetry = {});
+[[nodiscard]] RunResult run_single_source(
+    std::size_t n, std::uint32_t k, NodeId source, Adversary& adversary,
+    Round max_rounds, ThreadPool* pool = nullptr, const RunEnv& env = {},
+    RequestPriority priority = RequestPriority::kPaper);
 
 /// Runs Multi-Source-Unicast over an arbitrary token labelling.
 [[nodiscard]] RunResult run_multi_source(std::size_t n, const TokenSpacePtr& space,
                                          Adversary& adversary, Round max_rounds,
                                          ThreadPool* pool = nullptr,
-                                         FaultPlan* faults = nullptr,
-                                         double timeout_seconds = 0.0,
-                                         Telemetry telemetry = {});
+                                         const RunEnv& env = {});
 
 /// Runs the static spanning-tree baseline (static adversary required).
 [[nodiscard]] RunResult run_spanning_tree(std::size_t n, const TokenSpacePtr& space,
                                           Adversary& adversary, Round max_rounds,
                                           NodeId root = 0,
                                           ThreadPool* pool = nullptr,
-                                          FaultPlan* faults = nullptr,
-                                          double timeout_seconds = 0.0,
-                                          Telemetry telemetry = {});
+                                          const RunEnv& env = {});
 
 /// Runs naive phase flooding (local broadcast) from an arbitrary initial
 /// knowledge assignment.
@@ -59,9 +51,7 @@ class ThreadPool;
                                            const std::vector<KnowledgeSet>& initial,
                                            Adversary& adversary, Round max_rounds,
                                            ThreadPool* pool = nullptr,
-                                           FaultPlan* faults = nullptr,
-                                           double timeout_seconds = 0.0,
-                                           Telemetry telemetry = {});
+                                           const RunEnv& env = {});
 
 /// Runs uniform-random flooding (local broadcast).
 [[nodiscard]] RunResult run_random_flooding(std::size_t n, std::size_t k,
@@ -69,12 +59,14 @@ class ThreadPool;
                                             Adversary& adversary, Round max_rounds,
                                             std::uint64_t seed,
                                             ThreadPool* pool = nullptr,
-                                            FaultPlan* faults = nullptr,
-                                            double timeout_seconds = 0.0,
-                                            Telemetry telemetry = {});
+                                            const RunEnv& env = {});
 
-/// Algorithm 2 options.
-struct ObliviousMsOptions {
+/// Algorithm 2 options.  The RunEnv base is shared by both phase engines:
+/// phase 2 continues phase 1's fault liveness history (the plan keys it on
+/// absolute round numbers), the wall-clock budget covers the whole
+/// two-phase run, and probe samples carry phase-continuous round numbers so
+/// the per-round series reconciles with the merged totals.
+struct ObliviousMsOptions : RunEnv {
   std::uint64_t seed = 1;        ///< algorithm randomness (centers + walks)
   Round max_rounds = 0;          ///< global cap (0: derive from n·k)
   Round phase1_cap = 0;          ///< phase-1 cap (0: derive, clamped ℓ bound)
@@ -88,16 +80,6 @@ struct ObliviousMsOptions {
   /// Worker pool for intra-round sharding of both phase engines (null:
   /// serial).  Same contract as UnicastEngineOptions::pool.
   ThreadPool* pool = nullptr;
-  /// Per-trial fault plan shared by both phase engines (not owned; null:
-  /// fault-free).  Phase 2 continues phase 1's liveness history because the
-  /// plan keys liveness on absolute round numbers.
-  FaultPlan* faults = nullptr;
-  /// Wall-clock budget in seconds for the whole two-phase run (0: none).
-  double timeout_seconds = 0.0;
-  /// Observer plane shared by both phase engines (null members: legacy
-  /// path).  Probe samples carry phase-continuous round numbers, so the
-  /// per-round series of a two-phase run reconciles with the merged totals.
-  Telemetry telemetry;
 };
 
 /// Runs Algorithm 2 (Oblivious-Multi-Source-Unicast).  The adversary must

@@ -14,10 +14,11 @@ namespace dyngossip {
 class RoundProbe;
 class TimelineRecorder;
 
-/// Non-owning observer pointers, passed by value through RunEnv (the base
-/// of UnicastEngineOptions / BroadcastEngineOptions / AsyncEngineOptions,
-/// see engine/run_harness.hpp), AlgoBuildContext and the simulator entry
-/// points.
+/// Non-owning observer pointers, carried by value in RunEnv
+/// (engine/run_harness.hpp) — the base of the three engines' options, of
+/// AlgoBuildContext and ObliviousMsOptions, and the `env` argument of the
+/// sim/simulator.hpp entry points — and handed to keyed_trial
+/// (cache/memo_sweep.hpp), where an active one makes the trial uncacheable.
 struct Telemetry {
   RoundProbe* probe = nullptr;
   TimelineRecorder* timeline = nullptr;

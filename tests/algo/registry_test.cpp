@@ -198,12 +198,8 @@ TEST(AlgoFamilies, RandomFloodingMatchesHandBuiltRunAndPinsSeed) {
 TEST(AlgoFamilies, NeighborExchangeMatchesHandBuiltRun) {
   auto hand_adv = churn_adversary();
   const TokenSpace space = TokenSpace::single_source(0, kK);
-  const RunMetrics m = run_neighbor_exchange(
+  const RunResult hand = run_neighbor_exchange(
       kN, kK, space.initial_knowledge(kN), *hand_adv, kCap);
-  RunResult hand;
-  hand.metrics = m;
-  hand.rounds = m.rounds;
-  hand.completed = m.completed;
   auto reg_adv = churn_adversary();
   EXPECT_EQ(registry_checksum("neighbor_exchange", *reg_adv),
             run_payload_checksum(kN, kK, hand));
@@ -287,6 +283,21 @@ TEST(AlgoFamilies, InitialKnowledgeOverrideIsHonoredWhereItMakesSense) {
   EXPECT_THROW(
       (void)run_algo(AlgoSpec::parse("single_source"), ctx, *other_adv),
       AlgoSpecError);
+}
+
+TEST(AlgoRegistry, DerivedCapSaturatesInsteadOfWrapping) {
+  // 200·n·k = 4,294,967,600 for n = 2 and k = 10,737,419: 304 past 2^32, so
+  // a wrapped cap would end this run as round_cap after 304 rounds.  The
+  // saturated cap leaves only the short wall-clock budget to stop it.
+  AlgoBuildContext ctx;
+  ctx.n = 2;
+  ctx.k = 10'737'419;
+  ctx.run_timeout_seconds = 0.2;
+  StaticAdversary adversary(complete_graph(2));
+  const RunResult r =
+      run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
+  EXPECT_EQ(r.metrics.status, RunStatus::kTimeout);
+  EXPECT_GT(r.rounds, 304u);
 }
 
 TEST(AlgoRegistry, PrivateInstancesRejectDuplicates) {

@@ -28,6 +28,18 @@ TEST(Rng, SplitMix64IsDeterministic) {
   EXPECT_EQ(s1, s2);
 }
 
+TEST(DeriveSweepSeeds, IsTheSplitMix64ChainFromTheBaseSeed) {
+  std::uint64_t state = 99;
+  std::vector<std::uint64_t> chain;
+  for (int i = 0; i < 6; ++i) chain.push_back(splitmix64(state));
+  EXPECT_EQ(derive_sweep_seeds(6, 99), chain);
+  // A shorter sweep is a prefix of a longer one over the same base.
+  const std::vector<std::uint64_t> prefix = derive_sweep_seeds(3, 99);
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), chain.begin()));
+  // Seeds are distinct in practice, so adjacent trials never share streams.
+  EXPECT_EQ(std::set<std::uint64_t>(chain.begin(), chain.end()).size(), 6u);
+}
+
 TEST(Rng, NextBelowRespectsBound) {
   Rng rng(3);
   for (std::uint64_t bound : {1ull, 2ull, 3ull, 10ull, 1000ull, 1ull << 40}) {

@@ -24,7 +24,8 @@ TEST(NeighborExchange, CompletesOnStaticGraphs) {
   constexpr std::size_t n = 10, k = 6;
   const auto init = one_per_token(n, k, 1);
   StaticAdversary adversary(cycle_graph(n));
-  const RunMetrics m = run_neighbor_exchange(n, k, init, adversary, 100'000);
+  const RunMetrics m =
+      run_neighbor_exchange(n, k, init, adversary, 100'000).metrics;
   EXPECT_TRUE(m.completed);
   EXPECT_EQ(m.learnings, static_cast<std::uint64_t>(n) * k - k);
 }
@@ -39,7 +40,8 @@ TEST(NeighborExchange, TotalBoundedByN2K) {
   cc.churn_per_round = 4;
   cc.seed = 3;
   ChurnAdversary adversary(cc);
-  const RunMetrics m = run_neighbor_exchange(n, k, init, adversary, 100'000);
+  const RunMetrics m =
+      run_neighbor_exchange(n, k, init, adversary, 100'000).metrics;
   ASSERT_TRUE(m.completed);
   EXPECT_LE(m.unicast.token, static_cast<std::uint64_t>(n) * n * k);
   // Push-only traffic: no requests, no announcements.
@@ -53,7 +55,8 @@ TEST(NeighborExchange, WastesDuplicateDeliveries) {
   constexpr std::size_t n = 10, k = 10;
   const auto init = one_per_token(n, k, 4);
   StaticAdversary adversary(complete_graph(n));
-  const RunMetrics m = run_neighbor_exchange(n, k, init, adversary, 100'000);
+  const RunMetrics m =
+      run_neighbor_exchange(n, k, init, adversary, 100'000).metrics;
   ASSERT_TRUE(m.completed);
   EXPECT_GT(m.duplicate_token_deliveries, 0u);
 }
@@ -76,7 +79,8 @@ TEST(NeighborExchange, HandlesRotatingStar) {
   constexpr std::size_t n = 14, k = 6;
   const auto init = one_per_token(n, k, 6);
   RotatingStarAdversary adversary(n, 7);
-  const RunMetrics m = run_neighbor_exchange(n, k, init, adversary, 100'000);
+  const RunMetrics m =
+      run_neighbor_exchange(n, k, init, adversary, 100'000).metrics;
   EXPECT_TRUE(m.completed);
 }
 

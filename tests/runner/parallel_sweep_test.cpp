@@ -1,14 +1,22 @@
-// Bit-reproducibility of parallel_sweep against the serial sweep_seeds.
-#include "sim/runner/parallel_sweep.hpp"
-
+// Bit-reproducibility of the parallel seed sweep against the serial one.
+//
+// A seed sweep is derive_sweep_seeds, one sample per trial written into a
+// preassigned slot, and a Summary::of fold in trial order.  Run through
+// parallel_for or through memoized_sweep (no cache attached), the result must
+// be bit-identical to the serial loop at any thread count.
 #include <cmath>
-#include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "adversary/churn.hpp"
+#include "cache/memo_sweep.hpp"
+#include "common/rng.hpp"
+#include "common/stats.hpp"
+#include "fault/fault_plan.hpp"
+#include "sim/runner/parallel.hpp"
+#include "sim/runner/thread_pool.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 
 namespace dyngossip {
 namespace {
@@ -28,13 +36,30 @@ void expect_identical(const Summary& a, const Summary& b) {
   EXPECT_EQ(a.p99, b.p99);
 }
 
+template <typename Measure>
+Summary serial_sweep(std::size_t trials, std::uint64_t base_seed,
+                     const Measure& measure) {
+  std::vector<double> samples;
+  for (const std::uint64_t seed : derive_sweep_seeds(trials, base_seed)) {
+    samples.push_back(measure(seed));
+  }
+  return Summary::of(std::move(samples));
+}
+
+template <typename Measure>
+Summary parallel_sweep(ThreadPool& pool, std::size_t trials,
+                       std::uint64_t base_seed, const Measure& measure) {
+  const std::vector<std::uint64_t> seeds = derive_sweep_seeds(trials, base_seed);
+  std::vector<double> samples(trials);
+  parallel_for(pool, trials, [&](std::size_t i) { samples[i] = measure(seeds[i]); });
+  return Summary::of(std::move(samples));
+}
+
 TEST(DeriveSweepSeeds, MatchesSweepSeedsSeedStream) {
-  std::vector<std::uint64_t> from_serial;
-  (void)sweep_seeds(6, 99, [&](std::uint64_t seed) {
-    from_serial.push_back(seed);
-    return 0.0;
-  });
-  EXPECT_EQ(derive_sweep_seeds(6, 99), from_serial);
+  std::uint64_t state = 99;
+  std::vector<std::uint64_t> chain;
+  for (int i = 0; i < 6; ++i) chain.push_back(splitmix64(state));
+  EXPECT_EQ(derive_sweep_seeds(6, 99), chain);
 }
 
 TEST(ParallelSweep, BitIdenticalToSerialAt1_2_8Threads) {
@@ -45,10 +70,10 @@ TEST(ParallelSweep, BitIdenticalToSerialAt1_2_8Threads) {
            std::sqrt(static_cast<double>(seed % 997));
   };
   const std::size_t trials = 37;  // deliberately not a multiple of any pool size
-  const Summary serial = sweep_seeds(trials, 0xfeedface, measure);
+  const Summary serial = serial_sweep(trials, 0xfeedface, measure);
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    const Summary parallel = parallel_sweep(trials, 0xfeedface, measure, threads);
-    expect_identical(serial, parallel);
+    ThreadPool pool(threads);
+    expect_identical(serial, parallel_sweep(pool, trials, 0xfeedface, measure));
   }
 }
 
@@ -67,26 +92,46 @@ TEST(ParallelSweep, BitIdenticalOnARealSimulationWorkload) {
         run_single_source(n, k, 0, adversary, static_cast<Round>(100 * n * k));
     return static_cast<double>(r.metrics.unicast.total());
   };
-  const Summary serial = sweep_seeds(5, 4242, measure);
+  const Summary serial = serial_sweep(5, 4242, measure);
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    expect_identical(serial, parallel_sweep(5, 4242, measure, threads));
+    ThreadPool pool(threads);
+    expect_identical(serial, parallel_sweep(pool, 5, 4242, measure));
   }
 }
 
-TEST(ParallelSweep, SharedPoolOverloadMatchesOwningOverload) {
-  const auto measure = [](std::uint64_t seed) {
-    return static_cast<double>(seed % 1000);
-  };
-  ThreadPool pool(3);
-  expect_identical(parallel_sweep(pool, 9, 7, measure),
-                   parallel_sweep(9, 7, measure, 3));
+TEST(ParallelSweep, MemoizedSweepWithoutCacheMatchesSerialTrials) {
+  const std::size_t n = 16;
+  const auto k = static_cast<std::uint32_t>(n);
+  std::vector<KeyedTrial> trials;
+  for (const std::uint64_t seed : derive_sweep_seeds(7, 31)) {
+    trials.push_back(keyed_trial(make_run_key("single_source", "churn:sigma=3",
+                                              FaultSpec{}.to_string(), n, k, 1,
+                                              static_cast<Round>(100 * n * k),
+                                              seed)));
+  }
+  std::vector<CachedResult> serial;
+  for (const KeyedTrial& t : trials) serial.push_back(t.run(nullptr));
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    const std::vector<MemoOutcome> outcomes =
+        memoized_sweep(trials, /*cache=*/nullptr, pool);
+    ASSERT_EQ(outcomes.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_FALSE(outcomes[i].from_cache);
+      EXPECT_EQ(outcomes[i].row.checksum, serial[i].checksum);
+      EXPECT_EQ(outcomes[i].row.k_realized, serial[i].k_realized);
+      EXPECT_EQ(outcomes[i].row.metrics.unicast.total(),
+                serial[i].metrics.unicast.total());
+    }
+  }
 }
 
 TEST(ParallelSweep, SingleTrial) {
   const auto measure = [](std::uint64_t seed) {
     return static_cast<double>(seed & 0xff);
   };
-  expect_identical(sweep_seeds(1, 5, measure), parallel_sweep(1, 5, measure, 4));
+  ThreadPool pool(4);
+  expect_identical(serial_sweep(1, 5, measure), parallel_sweep(pool, 1, 5, measure));
 }
 
 }  // namespace

@@ -211,6 +211,17 @@ TEST(SweepService, InvalidRequestEmitsOneErrorLine) {
   const std::vector<std::string> lines = run_and_collect(service, req);
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(parse_line(lines[0]).type, "error");
+  // Out-of-range k and cap are rejected before narrowing: cast first, they
+  // would wrap to the accepted k = 5 and cap = 0.
+  for (const char* line :
+       {R"({"adversary":"churn","n":64,"k":4294967301})",
+        R"({"adversary":"churn","n":64,"k":4,"cap":4294967296})"}) {
+    std::vector<std::string> out;
+    service.run_request_line(line,
+                             [&](const std::string& l) { out.push_back(l); });
+    ASSERT_EQ(out.size(), 1u) << line;
+    EXPECT_EQ(parse_line(out[0]).type, "error") << line;
+  }
 }
 
 TEST(FairScheduler, RotatesBetweenSessions) {
