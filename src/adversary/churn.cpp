@@ -42,11 +42,57 @@ bool ChurnAdversary::add_random_edge() {
   return false;
 }
 
-void ChurnAdversary::reset_ages(Round r) {
-  inserted_at_.clear();
-  current_.for_each_edge(
-      [this, r](EdgeKey key) { inserted_at_.push_back({key, r}); });
-  std::sort(inserted_at_.begin(), inserted_at_.end());
+void ChurnAdversary::collect_removable(Round r) {
+  // An edge inserted at r0 must be present in rounds r0 .. r0+σ-1, so it
+  // may first be absent in round r0+σ.
+  std::erase_if(young_, [&](const auto& edge) { return r - edge.second >= cfg_.sigma; });
+  // Young edges cannot have been cut, so each one is live: block-copy the
+  // runs between them.
+  removable_.clear();
+  auto pos = live_.cbegin();
+  for (const auto& edge : young_) {
+    const auto at = std::lower_bound(pos, live_.cend(), edge.first);
+    DG_DCHECK(at != live_.cend() && *at == edge.first);
+    removable_.insert(removable_.end(), pos, at);
+    pos = at + 1;
+  }
+  removable_.insert(removable_.end(), pos, live_.cend());
+}
+
+void ChurnAdversary::commit_round(Round r) {
+  if (cut_.empty() && pending_.empty()) return;
+  // Drop the cut keys and merge in the inserted ones (a cut edge re-inserted
+  // this round stays, now young).  The untouched runs between changed keys
+  // are block copies; each changed key is located by a binary search.
+  live_scratch_.clear();
+  auto pos = live_.cbegin();
+  std::size_t c = 0;
+  std::size_t p = 0;
+  while (c < cut_.size() || p < pending_.size()) {
+    // On a tie the cut goes first: the old entry leaves, the new one enters.
+    const bool cut = p == pending_.size() || (c < cut_.size() && cut_[c] <= pending_[p]);
+    const EdgeKey key = cut ? cut_[c++] : pending_[p++];
+    const auto at = std::lower_bound(pos, live_.cend(), key);
+    live_scratch_.insert(live_scratch_.end(), pos, at);
+    pos = at;
+    if (cut) {
+      ++pos;
+    } else {
+      live_scratch_.push_back(key);
+    }
+  }
+  live_scratch_.insert(live_scratch_.end(), pos, live_.cend());
+  std::swap(live_, live_scratch_);
+  if (cfg_.sigma == 1) return;
+  // Young keys are live and inserted keys were absent: no key repeats.
+  young_scratch_.clear();
+  auto y = young_.cbegin();
+  for (const EdgeKey key : pending_) {
+    for (; y != young_.cend() && y->first < key; ++y) young_scratch_.push_back(*y);
+    young_scratch_.emplace_back(key, r);
+  }
+  young_scratch_.insert(young_scratch_.end(), y, young_.cend());
+  std::swap(young_, young_scratch_);
 }
 
 const Graph& ChurnAdversary::next_graph(Round r) {
@@ -59,19 +105,19 @@ const Graph& ChurnAdversary::next_graph(Round r) {
   }
 
   if (r == 1) {
+    // Every edge of the first graph is inserted in round 1.
     current_ = random_connected_with_edges(cfg_.n, cfg_.target_edges, rng_);
-    reset_ages(1);
+    pending_ = current_.sorted_edges();
+    cut_.clear();
+    commit_round(r);
     return current_;
   }
 
   // 1. Delete up to churn_per_round edges old enough to respect σ-stability.
-  //    An edge inserted at r0 must be present in rounds r0 .. r0+σ-1, so it
-  //    may first be absent in round r0+σ.  inserted_at_ is sorted by key, so
-  //    the removable list comes out in the canonical order directly.
-  removable_.clear();
-  for (const auto& [key, r0] : inserted_at_) {
-    if (r >= r0 + cfg_.sigma) removable_.push_back(key);
-  }
+  //    live_ is sorted by key, so the removable list comes out in the
+  //    canonical order directly.  The shuffle takes all |removable| - 1
+  //    draws, however few edges are cut: the schedule depends on them.
+  collect_removable(r);
   rng_.shuffle(removable_);
   const std::size_t cuts = std::min(cfg_.churn_per_round, removable_.size());
   cut_.assign(removable_.begin(), removable_.begin() + static_cast<std::ptrdiff_t>(cuts));
@@ -99,34 +145,9 @@ const Graph& ChurnAdversary::next_graph(Round r) {
     }
   }
 
-  // 4. Rebuild the sorted age list: drop the cut edges, merge in this
-  //    round's insertions aged r (a cut edge re-inserted this round comes
-  //    back aged r).  The untouched runs between changed keys are block
-  //    copies; each changed key is located by a binary search.
-  if (cut_.empty() && pending_.empty()) return current_;
+  // 4. Bring the sorted live list and the young edges up to date.
   std::sort(pending_.begin(), pending_.end());
-  age_scratch_.clear();
-  const auto key_less = [](const std::pair<EdgeKey, Round>& e, EdgeKey k) {
-    return e.first < k;
-  };
-  auto pos = inserted_at_.cbegin();
-  std::size_t c = 0;
-  std::size_t p = 0;
-  while (c < cut_.size() || p < pending_.size()) {
-    // On a tie the cut goes first: the old entry leaves, the new one enters.
-    const bool cut = p == pending_.size() || (c < cut_.size() && cut_[c] <= pending_[p]);
-    const EdgeKey key = cut ? cut_[c++] : pending_[p++];
-    const auto at = std::lower_bound(pos, inserted_at_.cend(), key, key_less);
-    age_scratch_.insert(age_scratch_.end(), pos, at);
-    pos = at;
-    if (cut) {
-      ++pos;
-    } else {
-      age_scratch_.push_back({key, r});
-    }
-  }
-  age_scratch_.insert(age_scratch_.end(), pos, inserted_at_.cend());
-  std::swap(inserted_at_, age_scratch_);
+  commit_round(r);
   return current_;
 }
 

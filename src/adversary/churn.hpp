@@ -48,17 +48,26 @@ class ChurnAdversary final : public ObliviousAdversary {
   /// returns false if the graph is complete.
   bool add_random_edge();
 
-  /// Rebuilds inserted_at_ from current_ with every edge aged `r`.
-  void reset_ages(Round r);
+  /// Fills removable_ with the live edges old enough to cut in round r:
+  /// live_ minus young_, in ascending key order.
+  void collect_removable(Round r);
+
+  /// Applies the round's cuts and insertions (cut_, sorted pending_) to
+  /// live_, and adds the insertions to young_ while σ > 1.
+  void commit_round(Round r);
 
   ChurnConfig cfg_;
   Rng rng_;
   Graph current_;
-  /// Live-edge insertion rounds, sorted by edge key (mirrors current_'s edge
-  /// set).  The σ-stability scan walks this in order, so the removable list
-  /// needs no per-round sort and no hashing.
-  std::vector<std::pair<EdgeKey, Round>> inserted_at_;
-  std::vector<std::pair<EdgeKey, Round>> age_scratch_;  ///< age-list rebuild buffer
+  /// current_'s edge set, sorted by key.  The σ-stability scan walks it in
+  /// order, so the removable list needs no per-round sort and no hashing.
+  std::vector<EdgeKey> live_;
+  std::vector<EdgeKey> live_scratch_;  ///< live_ merge buffer
+  /// (key, insertion round) of the edges inserted in the last σ - 1
+  /// rounds, sorted by key: the only live edges too young to cut.  Always
+  /// empty for σ = 1.
+  std::vector<std::pair<EdgeKey, Round>> young_;
+  std::vector<std::pair<EdgeKey, Round>> young_scratch_;  ///< young_ merge buffer
   std::vector<EdgeKey> removable_;  ///< shuffle buffer: edges old enough to cut
   std::vector<EdgeKey> cut_;        ///< edges cut in the current round, sorted
   std::vector<EdgeKey> pending_;    ///< edges inserted in the current round

@@ -369,14 +369,20 @@ RunResult run_algo(const AlgoSpec& spec, AlgoBuildContext& ctx,
   return AlgoRegistry::global().run(spec, ctx, adversary);
 }
 
-bool algo_schedule_compatible(const AlgoFamily& family,
-                              const AdversarySpec& adversary, std::string* why) {
+bool algo_run_compatible(const AlgoFamily& family, const AdversarySpec& adversary,
+                         const FaultSpec& fault, std::string* why) {
   if (!family.requires_static) return true;
-  if (adversary.family == "static") return true;
   const auto reject = [why](const std::string& msg) {
     if (why != nullptr) *why = msg;
     return false;
   };
+  if (fault.crash > 0.0 || fault.dup > 0.0) {
+    return reject("algorithm '" + family.name +
+                  "' requires reliable delivery (the protocol asserts "
+                  "exactly-once tokens and a node up from round 1); run it "
+                  "without crash or dup faults");
+  }
+  if (adversary.family == "static") return true;
   if (adversary.family == "trace" || adversary.family == "scripted") {
     // A recording may well be static; its embedded metadata says so.  A
     // missing/unreadable file or free-form metadata passes here — the

@@ -131,9 +131,9 @@ struct AlgoFamily {
   std::string description;  ///< one line for `dyngossip algorithms`
   std::string example;      ///< a representative spec string
   AlgoEngine engine = AlgoEngine::kUnicast;
-  /// True when the protocol asserts a never-changing neighborhood
-  /// (spanning_tree's static-topology guard DG_CHECKs otherwise); callers
-  /// must pair such a family with a static schedule.
+  /// True when the protocol assumes Section 1's static, reliable network
+  /// (spanning_tree DG_CHECKs an unchanging neighborhood and exactly-once
+  /// delivery): pair it with a static schedule and no crash or dup faults.
   bool requires_static = false;
   std::vector<AlgoKeySpec> keys;
   /// Runs the family against `adversary`; sets ctx.k_realized.
@@ -177,20 +177,22 @@ class AlgoRegistry {
 void register_all_algorithms(AlgoRegistry& registry);
 
 /// The single requires_static policy, shared by every dispatch site (the
-/// scenario axis tables, algo_matrix, `trace record|replay`): can `family`
-/// run over the schedule described by `adversary`?
+/// scenario axis tables, algo_matrix, `trace record|replay`, the serve
+/// sweep): can `family` run over the schedule described by `adversary`
+/// under `fault`?
 ///
 /// Non-static-only families accept everything.  A static-only family
-/// (spanning_tree) accepts the static family and a file-backed schedule
-/// (trace:/scripted:) whose recording metadata names a static adversary —
-/// or names none (foreign traces get the benefit of the doubt; the
-/// protocol's own static-topology guard still backstops).  Every other
-/// combination returns false with a human-readable reason in *why (may be
-/// nullptr), which callers throw as AlgoSpecError or print as a flag
-/// error.
-[[nodiscard]] bool algo_schedule_compatible(const AlgoFamily& family,
-                                            const AdversarySpec& adversary,
-                                            std::string* why = nullptr);
+/// (spanning_tree) rejects any crash or duplication fault, and accepts the
+/// static family and a file-backed schedule (trace:/scripted:) whose
+/// recording metadata names a static adversary — or names none (foreign
+/// traces get the benefit of the doubt; the protocol's own static-topology
+/// guard still backstops).  Every other combination returns false with a
+/// human-readable reason in *why (may be nullptr), which callers throw as
+/// AlgoSpecError or print as a flag error.
+[[nodiscard]] bool algo_run_compatible(const AlgoFamily& family,
+                                       const AdversarySpec& adversary,
+                                       const FaultSpec& fault,
+                                       std::string* why = nullptr);
 
 /// Convenience: runs `spec` through the global registry.  This is the
 /// registry-backed replacement for the old TracedRunSpec/run_traced_algo

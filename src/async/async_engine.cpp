@@ -32,8 +32,7 @@ AsyncEngine::AsyncEngine(Adversary& adversary,
                      .start_offset = 0}),
       push_pull_(opts.push_pull),
       seed_(opts.seed),
-      tracker_(adversary.num_nodes()),
-      plane_(tracker_, opts.telemetry.timeline) {
+      plane_(adversary.num_nodes(), opts.telemetry.timeline) {
   const std::size_t n = run_.num_nodes();
   DG_CHECK(n >= 1);
   DG_CHECK(n == adversary.num_nodes());

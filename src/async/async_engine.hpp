@@ -44,7 +44,6 @@
 #include "common/types.hpp"
 #include "engine/graph_plane.hpp"
 #include "engine/run_harness.hpp"
-#include "graph/dynamic_tracker.hpp"
 #include "metrics/accounting.hpp"
 #include "telemetry/timeline.hpp"
 
@@ -124,14 +123,13 @@ class AsyncEngine {
   RunHarness run_;  ///< knowledge mirror, metrics, faults, probe, termination
   bool push_pull_;
   std::uint64_t seed_;
-  DynamicGraphTracker tracker_;
   Round round_ = 0;
 
   EventQueue queue_;
   std::uint64_t seq_ = 0;                     ///< monotone event push counter
   std::vector<std::uint64_t> next_gap_index_; ///< per-node next clock gap
 
-  RoundGraphPlane plane_;  ///< the live graph: CSR view, checks, tracker
+  RoundGraphPlane plane_;  ///< the live graph: CSR view, checks, diff
 
   // Timeline bookkeeping (touched only with a timeline attached):
   // start of the current window's event batch.

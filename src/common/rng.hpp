@@ -46,12 +46,38 @@ class Rng {
   static constexpr result_type max() noexcept { return ~0ull; }
   result_type operator()() noexcept { return next(); }
 
-  /// Next raw 64 random bits.
-  std::uint64_t next() noexcept;
+  /// Next raw 64 random bits.  Inline, like next_below: the churn
+  /// adversaries' per-round shuffle draws one value per live edge.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound).  Requires bound > 0.  Unbiased
   /// (Lemire's nearly-divisionless rejection method).
-  [[nodiscard]] std::uint64_t next_below(std::uint64_t bound) noexcept;
+  [[nodiscard]] std::uint64_t next_below(std::uint64_t bound) noexcept {
+    DG_CHECK(bound > 0);
+    // Multiply-shift with rejection of the biased low range.
+    std::uint64_t x = next();
+    __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (low < threshold) {
+        x = next();
+        m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.  Requires lo <= hi.
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
@@ -90,6 +116,10 @@ class Rng {
   [[nodiscard]] Rng split() noexcept;
 
  private:
+  [[nodiscard]] static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "graph/connectivity.hpp"
-#include "graph/dynamic_tracker.hpp"
+#include "engine/graph_plane.hpp"
 
 namespace dyngossip {
 
@@ -35,7 +34,7 @@ LeaderElectionResult run_leader_election_broadcast(std::size_t n,
     return result;
   }
 
-  DynamicGraphTracker tracker(n);
+  RoundGraphPlane plane(n);
   for (Round r = 1; r <= max_rounds; ++r) {
     // A node broadcasts its maximum for the n rounds after each adoption.
     std::vector<NodeId> speak(n, kNoNode);
@@ -49,11 +48,9 @@ LeaderElectionResult run_leader_election_broadcast(std::size_t n,
     // ignore the view entirely.
     BroadcastRoundView view;
     view.round = r;
-    Graph g = adversary.broadcast_round(view);
-    DG_CHECK(g.num_nodes() == n);
-    DG_CHECK(is_connected(g));
-    const GraphDiff diff = tracker.advance(g, r);
-    result.tc += diff.inserted.size();
+    // The plane checks G_r's size and connectivity and diffs it.
+    const Graph& g = adversary.broadcast_round(view);
+    result.tc += plane.ingest(g, r).inserted.size();
 
     // Synchronous delivery: adopt the largest value heard this round.
     std::vector<NodeId> next = maxima;
@@ -96,7 +93,7 @@ LeaderElectionResult run_leader_election_unicast(std::size_t n,
     return result;
   }
 
-  DynamicGraphTracker tracker(n);
+  RoundGraphPlane plane(n);
   std::vector<SentRecord> no_traffic;
   std::vector<KnowledgeSet> no_knowledge;
   for (Round r = 1; r <= max_rounds; ++r) {
@@ -104,10 +101,8 @@ LeaderElectionResult run_leader_election_unicast(std::size_t n,
     view.round = r;
     view.prev_messages = &no_traffic;
     view.knowledge = &no_knowledge;
-    Graph g = adversary.unicast_round(view);
-    DG_CHECK(g.num_nodes() == n);
-    DG_CHECK(is_connected(g));
-    const GraphDiff diff = tracker.advance(g, r);
+    const Graph& g = adversary.unicast_round(view);
+    const GraphDiff& diff = plane.ingest(g, r);
     result.tc += diff.inserted.size();
 
     // Send phase: (a) over each fresh edge both endpoints exchange maxima

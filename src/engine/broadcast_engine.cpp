@@ -21,11 +21,10 @@ BroadcastEngine::BroadcastEngine(
                      .stall_per_node = 2,
                      .watchdog_stride = 32,
                      .start_offset = 0}),
-      tracker_(nodes_.size()),
       log_(opts.record_learning_events),
       pool_(opts.pool),
       min_parallel_nodes_(opts.min_parallel_nodes),
-      plane_(tracker_, opts.telemetry.timeline) {
+      plane_(nodes_.size(), opts.telemetry.timeline) {
   DG_CHECK(!nodes_.empty());
   DG_CHECK(nodes_.size() == run_.num_nodes());
   DG_CHECK(adversary_.num_nodes() == nodes_.size());

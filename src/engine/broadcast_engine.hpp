@@ -25,7 +25,6 @@
 #include "common/types.hpp"
 #include "engine/graph_plane.hpp"
 #include "engine/run_harness.hpp"
-#include "graph/dynamic_tracker.hpp"
 #include "metrics/accounting.hpp"
 #include "metrics/learning_log.hpp"
 
@@ -128,7 +127,6 @@ class BroadcastEngine {
   std::vector<std::unique_ptr<BroadcastAlgorithm>> nodes_;
   Adversary& adversary_;
   RunHarness run_;  ///< knowledge mirror, metrics, faults, probe, termination
-  DynamicGraphTracker tracker_;
   LearningLog log_;
   Round round_ = 0;
   ThreadPool* pool_;
@@ -137,7 +135,7 @@ class BroadcastEngine {
   std::vector<TokenId> intents_;       // scratch: i_v(r)
   std::vector<TokenId> inbox_scratch_; // scratch: per-node deliveries
   std::vector<Shard> shards_;          // scratch: sharded-path counters
-  RoundGraphPlane plane_;              // G_r: CSR view, checks, tracker
+  RoundGraphPlane plane_;              // G_r: CSR view, checks, diff
 };
 
 }  // namespace dyngossip

@@ -32,49 +32,56 @@ bool RoundGraphPlane::net_diff(const Graph& g) {
   return true;
 }
 
-void RoundGraphPlane::carry_since(Round r, bool carry) {
-  if (!carry) {
-    since_.assign(view_.num_arcs(), r);
-    return;
-  }
-  since_.resize(view_.num_arcs());
+void RoundGraphPlane::diff_rebuilt(Round r, bool carry) {
+  diff_.inserted.clear();
+  diff_.removed.clear();
+  if (track_since_) since_.resize(view_.num_arcs());
   const auto n = static_cast<NodeId>(view_.num_nodes());
   for (NodeId v = 0; v < n; ++v) {
-    // Both neighbor lists are sorted: one linear merge per node.
+    // Both neighbor lists are sorted: one linear merge per node.  Keys
+    // (v, w) with w > v come out in canonical order over the whole sweep.
     const std::span<const NodeId> now = view_.neighbors(v);
     const std::span<const NodeId> before = prev_view_.neighbors(v);
-    const Round* before_since = prev_since_.data() + prev_view_.arc_begin(v);
-    Round* out = since_.data() + view_.arc_begin(v);
+    const Round* before_since =
+        track_since_ ? prev_since_.data() + prev_view_.arc_begin(v) : nullptr;
+    Round* out = track_since_ ? since_.data() + view_.arc_begin(v) : nullptr;
     std::size_t p = 0;
     for (std::size_t i = 0; i < now.size(); ++i) {
-      while (p < before.size() && before[p] < now[i]) ++p;
-      out[i] = p < before.size() && before[p] == now[i] ? before_since[p] : r;
+      for (; p < before.size() && before[p] < now[i]; ++p) {
+        if (before[p] > v) diff_.removed.push_back(edge_key(v, before[p]));
+      }
+      const bool kept = p < before.size() && before[p] == now[i];
+      if (!kept && now[i] > v) diff_.inserted.push_back(edge_key(v, now[i]));
+      if (out != nullptr) out[i] = kept && carry ? before_since[p] : r;
+      if (kept) ++p;
+    }
+    for (; p < before.size(); ++p) {
+      if (before[p] > v) diff_.removed.push_back(edge_key(v, before[p]));
     }
   }
 }
 
 const GraphDiff& RoundGraphPlane::ingest(const Graph& g, Round r) {
-  DG_CHECK(g.num_nodes() == tracker_.num_nodes());
-  // The tracker may be shared with an earlier engine: patch only when this
-  // plane ingested the tracker's last round itself.
-  const bool patch =
-      round_ + 1 == r && tracker_.rounds() == round_ && net_diff(g);
+  DG_CHECK(g.num_nodes() == view_.num_nodes());
+  DG_CHECK(r == round_ + 1);
+  const bool patch = net_diff(g);
+  const bool carry = !restart_since_;
+  restart_since_ = false;
   const std::optional<bool> verdict = g.connectivity_verdict();
   bool connected = true;
   if (patch) {
     view_.patch(diff_.inserted, diff_.removed, track_since_ ? &since_ : nullptr, r);
+    if (track_since_ && !carry) since_.assign(view_.num_arcs(), r);
     ++patched_;
     // G_{r-1} passed the check; insertions alone cannot disconnect it.
     if (!diff_.removed.empty()) {
       connected = verdict ? *verdict : connectivity_.is_connected(view_);
     }
   } else {
-    if (track_since_) {
-      std::swap(view_, prev_view_);
-      std::swap(since_, prev_since_);
-    }
+    std::swap(view_, prev_view_);
+    std::swap(since_, prev_since_);
     view_.rebuild(g);
-    if (track_since_) carry_since(r, round_ != 0 && round_ + 1 == r);
+    diff_rebuilt(r, carry);
     connected = verdict ? *verdict : connectivity_.is_connected(view_);
   }
   DG_CHECK(connected);
@@ -82,7 +89,7 @@ const GraphDiff& RoundGraphPlane::ingest(const Graph& g, Round r) {
   identity_ = g.identity();
   version_ = g.watch();
   round_ = r;
-  return patch ? tracker_.apply(diff_, r) : tracker_.advance(view_, r);
+  return diff_;
 }
 
 }  // namespace dyngossip

@@ -21,22 +21,25 @@ UnicastEngine::UnicastEngine(std::vector<std::unique_ptr<UnicastAlgorithm>> node
                      .stall_per_node = 2,
                      .watchdog_stride = 32,
                      .start_offset = opts.start_round - 1}),
-      owned_tracker_(opts.tracker != nullptr
-                         ? nullptr
-                         : std::make_unique<DynamicGraphTracker>(nodes_.size())),
-      tracker_(opts.tracker != nullptr ? opts.tracker : owned_tracker_.get()),
       log_(opts.record_learning_events),
       round_(opts.start_round - 1),
       max_payloads_per_edge_(opts.max_payloads_per_edge),
       pool_(opts.pool),
       min_parallel_nodes_(opts.min_parallel_nodes),
-      plane_(*tracker_, opts.telemetry.timeline, /*track_since=*/true) {
+      owned_plane_(opts.plane != nullptr
+                       ? nullptr
+                       : std::make_unique<RoundGraphPlane>(nodes_.size(),
+                                                           opts.telemetry.timeline,
+                                                           /*track_since=*/true)),
+      plane_(opts.plane != nullptr ? *opts.plane : *owned_plane_) {
   DG_CHECK(!nodes_.empty());
   DG_CHECK(nodes_.size() == run_.num_nodes());
   DG_CHECK(adversary_.num_nodes() == nodes_.size());
   DG_CHECK(opts.start_round >= 1);
-  DG_CHECK(tracker_->num_nodes() == nodes_.size());
-  DG_CHECK(tracker_->rounds() == round_);
+  DG_CHECK(plane_.view().num_nodes() == nodes_.size());
+  DG_CHECK(plane_.round() == round_);
+  // This engine has seen none of the plane's earlier rounds.
+  plane_.restart_since();
   awake_.assign(nodes_.size(), 1);
   if (run_.fault_active()) {
     // A node already down when this engine starts has seen nothing here:
@@ -49,11 +52,12 @@ UnicastEngine::UnicastEngine(std::vector<std::unique_ptr<UnicastAlgorithm>> node
 void UnicastEngine::validate_sent(NodeId v, std::vector<SentRecord>& sink,
                                   std::size_t mark, MessageCounts& counts) {
   const std::size_t n = nodes_.size();
+  const RoundGraphView& csr = plane_.view();
   std::size_t w = mark;
   for (std::size_t i = mark; i < sink.size(); ++i) {
     const SentRecord& rec = sink[i];
     DG_CHECK(rec.to < n && rec.to != v);
-    const std::size_t arc = plane_.view().arc_index(v, rec.to);
+    const std::size_t arc = csr.arc_index(v, rec.to);
     DG_CHECK(arc != kNoArc);  // may only address current neighbors
     // Token-forwarding: only held tokens may be shipped.
     if (rec.msg.type == MsgType::kToken) {
@@ -75,6 +79,8 @@ void UnicastEngine::validate_sent(NodeId v, std::vector<SentRecord>& sink,
     ++w;
   }
   sink.resize(w);
+  // v's budgets are final: zero its arc block for the next round.
+  if (w > mark) std::fill_n(arc_budget_.data() + csr.arc_begin(v), csr.degree(v), 0);
 }
 
 void UnicastEngine::send_node(Round r, NodeId v, std::vector<SentRecord>& sink,
@@ -200,16 +206,16 @@ Round UnicastEngine::step() {
 
   // 0. Fault plane: the harness advances liveness into round r.  A crashing
   // node's (neighbor, since) pairs are snapshotted while the view still
-  // holds G_{r-1}, its last live round.
+  // holds G_{r-1}, its last live round; in this engine's first round the
+  // view holds an earlier phase's graph, so the snapshot stays empty.
   run_.begin_round(r);
   if (run_.fault_active()) {
-    const RoundGraphView& before = plane_.view();
     for (const NodeId v : run_.faults().crashed_this_round()) {
       crashed_at_[v] = r;
       std::vector<std::pair<NodeId, Round>>& seen = crash_snapshot_[v];
       seen.clear();
-      if (before.num_nodes() == n) {
-        const std::span<const NodeId> ids = before.neighbors(v);
+      if (r > run_.start_offset() + 1) {
+        const std::span<const NodeId> ids = plane_.view().neighbors(v);
         const std::span<const Round> since = plane_.since(v);
         for (std::size_t i = 0; i < ids.size(); ++i) seen.emplace_back(ids[i], since[i]);
       }
@@ -244,7 +250,7 @@ Round UnicastEngine::step() {
   // outboxes, merged in node order.
   {
     const TimelineSpan span(timeline, "send_phase", "phase");
-    arc_budget_.assign(csr.num_arcs(), 0);
+    arc_budget_.resize(csr.num_arcs());  // all zero: senders clear their own
     if (shards > 1) {
       send_phase_sharded(r, shards);
     } else {

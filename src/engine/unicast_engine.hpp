@@ -34,7 +34,6 @@
 #include "engine/graph_plane.hpp"
 #include "engine/message.hpp"
 #include "engine/run_harness.hpp"
-#include "graph/dynamic_tracker.hpp"
 #include "metrics/accounting.hpp"
 #include "metrics/learning_log.hpp"
 
@@ -105,9 +104,10 @@ struct UnicastEngineOptions : RunEnv {
   /// First round number this engine executes (phase-2 engines of
   /// Algorithm 2 continue a running execution).
   Round start_round = 1;
-  /// Shared topology tracker for multi-phase executions; if null the engine
-  /// owns a fresh tracker (G_0 = ∅).
-  DynamicGraphTracker* tracker = nullptr;
+  /// Graph plane shared by consecutive phases of one execution (its last
+  /// round must be start_round - 1); if null the engine owns a fresh plane
+  /// (G_0 = ∅).  It must keep since (track_since).
+  RoundGraphPlane* plane = nullptr;
   /// Bandwidth cap: payloads per directed edge per round (model: O(1)).
   std::uint32_t max_payloads_per_edge = 4;
   /// Record individual learning events (O(nk) memory).
@@ -227,8 +227,6 @@ class UnicastEngine {
   std::vector<std::unique_ptr<UnicastAlgorithm>> nodes_;
   Adversary& adversary_;
   RunHarness run_;  ///< knowledge mirror, metrics, faults, probe, termination
-  std::unique_ptr<DynamicGraphTracker> owned_tracker_;
-  DynamicGraphTracker* tracker_;
   LearningLog log_;
   Round round_;
   std::uint32_t max_payloads_per_edge_;
@@ -236,7 +234,8 @@ class UnicastEngine {
   std::size_t min_parallel_nodes_;
   RoundHook hook_;
   std::vector<SentRecord> prev_messages_;
-  RoundGraphPlane plane_;                 ///< G_r: CSR view, checks, tracker
+  std::unique_ptr<RoundGraphPlane> owned_plane_;
+  RoundGraphPlane& plane_;                ///< G_r: CSR view, checks, diff, since
   /// Wake set, one byte per node: nonzero iff send() must run in the next
   /// live round (the node was not quiescent after its last send, or an
   /// incident edge was inserted, a payload delivered or it recovered since).
@@ -249,7 +248,8 @@ class UnicastEngine {
   std::vector<std::vector<std::pair<NodeId, Round>>> crash_snapshot_;
   // Per-round scratch, reused across rounds (see step()).
   std::vector<SentRecord> traffic_;       ///< round-r records (swapped into prev)
-  std::vector<std::uint32_t> arc_budget_; ///< payload counts per directed arc
+  /// Payload counts per directed arc; zero outside a sender's own send().
+  std::vector<std::uint32_t> arc_budget_;
   // Fault-path scratch (touched only under an active fault plan), reused across
   // rounds: per-record delivery fates and per-arc delivery sequences.
   std::vector<std::uint8_t> fate_;        ///< FaultPlan::Fate per traffic record

@@ -83,9 +83,9 @@ bool ConnectivityChecker::is_connected(const Graph& g) {
 
 bool ConnectivityChecker::respan(const Graph& g, std::span<const EdgeKey> edits) {
   const std::size_t n = g.num_nodes();
+  if (label_.size() != n) label_.assign(n, kNoNode);
   // 1. A removed tree edge detaches the subtree below it.  label_ marks the
   //    roots of the detached subtrees with themselves.
-  label_.assign(n, kNoNode);
   detached_.clear();
   for (const EdgeKey key : edits) {
     const auto [a, b] = edge_endpoints(key);
@@ -96,9 +96,42 @@ bool ConnectivityChecker::respan(const Graph& g, std::span<const EdgeKey> edits)
     label_[child] = child;
     detached_.push_back(child);
   }
-  if (detached_.empty()) return true;  // every tree edge is still there
 
-  // 2. Label every node with its nearest detached ancestor-or-self, or 0
+  // 2. Hang each detached root on the neighbor whose parent chain reaches
+  //    node 0 in the fewest steps (<= kMaxWalk) past no marked root: that
+  //    chain's edges are all in g, and the tree stays about BFS-shallow.
+  //    Placing a root unmarks it, so repeat while roots get placed.
+  for (std::size_t before = 0; before != detached_.size();) {
+    before = detached_.size();
+    std::size_t kept = 0;
+    for (const NodeId root : detached_) {
+      NodeId anchor = kNoNode;
+      std::size_t best = kMaxWalk + 1;
+      for (const NodeId w : g.neighbors(root)) {
+        NodeId u = w;
+        std::size_t steps = 0;
+        for (; u != 0 && label_[u] == kNoNode && steps + 1 < best; ++steps) {
+          u = parent_[u];
+        }
+        if (u == 0) {
+          anchor = w;
+          best = steps;
+        }
+      }
+      if (anchor == kNoNode) {
+        detached_[kept++] = root;
+        continue;
+      }
+      parent_[root] = anchor;
+      label_[root] = kNoNode;
+      ++local_reattaches_;
+    }
+    detached_.resize(kept);
+  }
+  if (detached_.empty()) return true;
+  ++relabels_;
+
+  // 3. Label every node with its nearest detached ancestor-or-self, or 0
   //    for the part still hanging off the root; chain each detached
   //    subtree's members from its root through next_member_.
   label_[0] = 0;
@@ -120,7 +153,7 @@ bool ConnectivityChecker::respan(const Graph& g, std::span<const EdgeKey> edits)
     }
   }
 
-  // 3. Re-attach: a subtree with a member adjacent to the attached part
+  // 4. Re-attach: a subtree with a member adjacent to the attached part
   //    re-roots its tree path at that member and hangs it there.  Repeat
   //    while that makes progress (a subtree may reach the root's part only
   //    through another).
@@ -156,7 +189,9 @@ bool ConnectivityChecker::respan(const Graph& g, std::span<const EdgeKey> edits)
       progress = true;
     }
   }
-  return attached == detached_.size();
+  const bool connected = attached == detached_.size();
+  label_.assign(n, kNoNode);  // unmarked again for the next respan
+  return connected;
 }
 
 std::vector<EdgeKey> connect_components(Graph& g, Rng& rng) {

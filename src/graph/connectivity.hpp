@@ -48,10 +48,11 @@ struct ComponentInfo {
 /// Checking the same Graph again is incremental: the checker keeps the BFS
 /// spanning tree of the last graph it found connected and reads the graph's
 /// edit journal (Graph::watch / edits_since).  If no tree edge was removed
-/// since, the tree still spans the graph.  Otherwise only the detached
-/// subtrees are re-attached, by scanning their own members' neighbors for
-/// an edge back to the rest; a subtree that cannot be re-attached is a
-/// disconnected graph.  Any other case runs the full BFS.
+/// since, the tree still spans the graph.  Otherwise each detached root is
+/// hung on a neighbor a short tree path away from node 0; only subtrees left
+/// over are relabelled in O(n) and re-attached through their members'
+/// neighbors, and one that cannot be is a disconnected graph.  Any other
+/// case runs the full BFS.
 class ConnectivityChecker {
  public:
   /// True iff the snapshot's graph is connected (vacuously true, n <= 1).
@@ -61,7 +62,15 @@ class ConnectivityChecker {
   /// on g.
   [[nodiscard]] bool is_connected(const Graph& g);
 
+  /// Detached subtrees hung back by the bounded walk, and incremental
+  /// checks that fell back to the O(n) relabel, so far.
+  [[nodiscard]] std::uint64_t local_reattaches() const { return local_reattaches_; }
+  [[nodiscard]] std::uint64_t relabels() const { return relabels_; }
+
  private:
+  /// Longest parent chain the local re-attach walks from a candidate.
+  static constexpr std::size_t kMaxWalk = 16;
+
   /// BFS from node 0 over `neighbors(v)`, recording the tree in parent_;
   /// true iff all n nodes are reached.
   template <typename Neighbors>
@@ -79,10 +88,13 @@ class ConnectivityChecker {
   std::uint64_t identity_ = 0;
   std::uint64_t version_ = 0;
   // respan() scratch: per node, the root of its detached subtree (0: the
-  // root's part); per detached root, the next member of its subtree.
+  // root's part; kNoNode between calls); per detached root, the next
+  // member of its subtree.
   std::vector<NodeId> label_;
   std::vector<NodeId> next_member_;
   std::vector<NodeId> detached_;  ///< roots of the detached subtrees
+  std::uint64_t local_reattaches_ = 0;
+  std::uint64_t relabels_ = 0;
 };
 
 /// Adds the minimum number of edges (#components - 1) to make g connected.

@@ -2,7 +2,7 @@
 //
 // The engines consume each round's topology read-only and in full: every
 // node reads its sorted neighbor list, the budget check addresses directed
-// edges, connectivity is verified, and the tracker diffs the edge set.
+// edges, connectivity is verified, and the plane diffs the edge set.
 // Serving all of that off the mutable Graph costs a per-node allocation and
 // sort per round (Graph::sorted_neighbors).  RoundGraphView is the
 // flat-snapshot alternative used by graph-processing systems (Ligra-style
@@ -36,6 +36,14 @@ namespace dyngossip {
 
 /// Sentinel for "no such arc" (arc_index of an absent edge).
 inline constexpr std::size_t kNoArc = static_cast<std::size_t>(-1);
+
+/// Per-round topology diff.
+struct GraphDiff {
+  /// E+_r: edges in round r but not round r-1 (sorted).
+  std::vector<EdgeKey> inserted;
+  /// E-_r: edges in round r-1 but not round r (sorted).
+  std::vector<EdgeKey> removed;
+};
 
 /// Read-only CSR (offsets + sorted targets) snapshot of a Graph.
 class RoundGraphView {

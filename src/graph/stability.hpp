@@ -10,7 +10,6 @@
 #include <unordered_map>
 
 #include "common/types.hpp"
-#include "graph/dynamic_tracker.hpp"
 #include "graph/graph.hpp"
 
 namespace dyngossip {

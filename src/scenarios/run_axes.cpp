@@ -125,21 +125,22 @@ ScenarioTable run_axes_table(const ScenarioContext& ctx, const RunAxes& axes,
   }
   const AlgoSpec algo = axes.algo_or(default_algo);
   const std::string algo_text = algo.to_string();
-  // A static-only algorithm (spanning_tree) over a dynamic schedule would
-  // die on the protocol's own DG_CHECK inside a pool worker; reject the
-  // flag combination up front with the shared policy (which also inspects
-  // a file-backed override's recording metadata, so a static recording
-  // passes).
+  // A static-only algorithm (spanning_tree) over a dynamic schedule or
+  // under crash/dup faults would die on the protocol's own DG_CHECK inside
+  // a pool worker; reject the flag combination up front with the shared
+  // policy (which also inspects a file-backed override's recording
+  // metadata, so a static recording passes).
   {
     const AlgoFamily& family = *AlgoRegistry::global().find(algo.family);
     std::string why;
     if (axes.adversary_overridden()) {
-      if (!algo_schedule_compatible(family, axes.adversary_spec(), &why)) {
+      if (!algo_run_compatible(family, axes.adversary_spec(), axes.fault_spec(),
+                               &why)) {
         throw AlgoSpecError(why);
       }
     } else {
       for (const AxisRowSpec& row : rows) {
-        if (!algo_schedule_compatible(family, row.def, &why)) {
+        if (!algo_run_compatible(family, row.def, axes.fault_spec(), &why)) {
           throw AlgoSpecError(why);
         }
       }

@@ -96,7 +96,7 @@ ScenarioResult run(const ScenarioContext& ctx) {
     for (const AdversarySpec& sched : schedules) {
       // The shared requires_static policy: a static recording passed via
       // --trace pairs with spanning_tree like any static schedule.
-      if (!algo_schedule_compatible(*family, sched, &skip_why)) {
+      if (!algo_run_compatible(*family, sched, FaultSpec{}, &skip_why)) {
         ++static_only_skips;
         continue;
       }

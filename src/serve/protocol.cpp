@@ -65,26 +65,8 @@ std::string encode_sweep_request(const SweepRequest& req) {
   return doc.dump();
 }
 
-SweepRequest decode_sweep_request(const std::string& line) {
-  JsonValue doc;
-  try {
-    doc = JsonValue::parse(line);
-  } catch (const std::exception& e) {
-    throw std::runtime_error(std::string("request is not valid JSON: ") +
-                             e.what());
-  }
-  SweepRequest req;
-  req.algo = str_field(doc, "algo", req.algo, false);
-  req.adversary = str_field(doc, "adversary", "", true);
-  req.fault = str_field(doc, "fault", req.fault, false);
-  // Range-check the full 64-bit values before narrowing: a cast first
-  // would wrap an out-of-range k or cap into an accepted one.
-  const std::uint64_t n = u64_field(doc, "n", 0, true);
-  const std::uint64_t k = u64_field(doc, "k", 0, true);
-  req.sources = static_cast<std::size_t>(u64_field(doc, "sources", 4, false));
-  const std::uint64_t cap = u64_field(doc, "cap", 0, false);
-  const std::uint64_t trials = u64_field(doc, "trials", 1, false);
-  req.seed_base = u64_field(doc, "seed_base", 0, false);
+void set_sweep_shape(SweepRequest& req, std::uint64_t n, std::uint64_t k,
+                     std::uint64_t cap, std::uint64_t trials) {
   if (n < 2 || n > 1'000'000) {
     throw std::runtime_error("request n must be in [2, 1000000]");
   }
@@ -102,6 +84,27 @@ SweepRequest decode_sweep_request(const std::string& line) {
   req.k = static_cast<std::uint32_t>(k);
   req.cap = static_cast<Round>(cap);
   req.trials = static_cast<std::size_t>(trials);
+}
+
+SweepRequest decode_sweep_request(const std::string& line) {
+  JsonValue doc;
+  try {
+    doc = JsonValue::parse(line);
+  } catch (const std::exception& e) {
+    throw std::runtime_error(std::string("request is not valid JSON: ") +
+                             e.what());
+  }
+  SweepRequest req;
+  req.algo = str_field(doc, "algo", req.algo, false);
+  req.adversary = str_field(doc, "adversary", "", true);
+  req.fault = str_field(doc, "fault", req.fault, false);
+  const std::uint64_t n = u64_field(doc, "n", 0, true);
+  const std::uint64_t k = u64_field(doc, "k", 0, true);
+  req.sources = static_cast<std::size_t>(u64_field(doc, "sources", 4, false));
+  const std::uint64_t cap = u64_field(doc, "cap", 0, false);
+  const std::uint64_t trials = u64_field(doc, "trials", 1, false);
+  req.seed_base = u64_field(doc, "seed_base", 0, false);
+  set_sweep_shape(req, n, k, cap, trials);
   return req;
 }
 

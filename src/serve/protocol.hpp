@@ -42,6 +42,13 @@ struct SweepRequest {
   std::uint64_t seed_base = 0;
 };
 
+/// Range-checks the full-width shape fields of a request, then narrows them
+/// into `req`: the one check behind decode_sweep_request and the client,
+/// so an out-of-range value is refused instead of wrapping into an accepted
+/// one.  Throws std::runtime_error naming the first bad field.
+void set_sweep_shape(SweepRequest& req, std::uint64_t n, std::uint64_t k,
+                     std::uint64_t cap, std::uint64_t trials);
+
 /// Serializes a request as its single-line wire form (no newline).
 [[nodiscard]] std::string encode_sweep_request(const SweepRequest& req);
 

@@ -197,15 +197,22 @@ int cmd_request(const CliArgs& args) {
   req.algo = args.get_string("algo", req.algo);
   req.adversary = args.get_string("adversary", "");
   req.fault = args.get_string("fault", req.fault);
-  req.n = static_cast<std::size_t>(args.get_int("n", 0));
-  req.k = static_cast<std::uint32_t>(args.get_int("k", 0));
   req.sources = static_cast<std::size_t>(args.get_int("sources", 4));
-  req.cap = static_cast<Round>(args.get_int("cap", 0));
-  req.trials = static_cast<std::size_t>(args.get_int("trials", 1));
   req.seed_base = static_cast<std::uint64_t>(args.get_int("seed-base", 0));
-  if (req.adversary.empty() || req.n == 0 || req.k == 0) {
+  const std::int64_t n = args.get_int("n", 0);
+  const std::int64_t k = args.get_int("k", 0);
+  if (req.adversary.empty() || n == 0 || k == 0) {
     std::fprintf(stderr, "request requires --adversary=SPEC --n=N --k=K\n%s",
                  kRequestUsage);
+    return 2;
+  }
+  // The server's range check, before anything is narrowed or sent.
+  try {
+    set_sweep_shape(req, static_cast<std::uint64_t>(n), static_cast<std::uint64_t>(k),
+                    static_cast<std::uint64_t>(args.get_int("cap", 0)),
+                    static_cast<std::uint64_t>(args.get_int("trials", 1)));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
 

@@ -93,8 +93,8 @@ struct ResolvedSweep {
   AdversaryRegistry::global().validate(adversary);
   const FaultSpec fault = FaultSpec::parse(req.fault);
   std::string why;
-  if (!algo_schedule_compatible(*AlgoRegistry::global().find(algo.family),
-                                adversary, &why)) {
+  if (!algo_run_compatible(*AlgoRegistry::global().find(algo.family), adversary,
+                           fault, &why)) {
     throw AlgoSpecError(why);
   }
   return {algo.to_string(), adversary.to_string(), fault.to_string(),

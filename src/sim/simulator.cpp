@@ -149,9 +149,9 @@ ObliviousMsResult run_oblivious_multi_source(std::size_t n,
     }
   }
 
-  DynamicGraphTracker tracker(n);
+  RoundGraphPlane plane(n, opts.telemetry.timeline, /*track_since=*/true);
   UnicastEngineOptions ueopts;
-  ueopts.tracker = &tracker;
+  ueopts.plane = &plane;
   ueopts.pool = opts.pool;
   ueopts.env() = opts;
   UnicastEngine phase1(std::move(walkers), adversary,
@@ -194,7 +194,7 @@ ObliviousMsResult run_oblivious_multi_source(std::size_t n,
 
   // --- Phase 2: Multi-Source-Unicast with the centers (the ⟨center, index⟩
   // relabelling) as sources, continuing the same execution (round numbers,
-  // topology tracker and adversary state carry over).
+  // graph plane and adversary state carry over).
   auto phase2_space = std::make_shared<TokenSpace>(k, std::move(ownership));
   MultiSourceConfig mcfg{n, phase2_space};
   std::vector<KnowledgeSet> carried;
@@ -202,7 +202,7 @@ ObliviousMsResult run_oblivious_multi_source(std::size_t n,
   for (NodeId v = 0; v < n; ++v) carried.push_back(phase1.knowledge_of(v));
 
   UnicastEngineOptions p2opts;
-  p2opts.tracker = &tracker;
+  p2opts.plane = &plane;
   p2opts.pool = opts.pool;
   p2opts.env() = opts;
   p2opts.start_round = phase1.round() + 1;

@@ -144,9 +144,15 @@ int cmd_record(const CliArgs& args) {
 
   const AdversarySpec aspec = effective_adversary_spec(
       kind, edges, churn, static_cast<std::size_t>(sigma), seed);
+  // Fault plane: the recording run can itself execute under a fault plan
+  // (position-keyed off the run seed, so the recording is reproducible);
+  // the canonical spec rides in the metadata so replay defaults to it.
+  const std::string fault_text = args.get_string("fault", "");
+  FaultSpec fspec;
+  if (!fault_text.empty()) fspec = FaultSpec::parse(fault_text);
   std::string why;
-  if (!algo_schedule_compatible(*AlgoRegistry::global().find(algo.family),
-                                aspec, &why)) {
+  if (!algo_run_compatible(*AlgoRegistry::global().find(algo.family), aspec, fspec,
+                           &why)) {
     std::fprintf(stderr, "%s\n", why.c_str());
     return 2;
   }
@@ -155,13 +161,6 @@ int cmd_record(const CliArgs& args) {
   bctx.seed = seed;
   const std::unique_ptr<Adversary> inner =
       AdversaryRegistry::global().build(aspec, bctx);
-
-  // Fault plane: the recording run can itself execute under a fault plan
-  // (position-keyed off the run seed, so the recording is reproducible);
-  // the canonical spec rides in the metadata so replay defaults to it.
-  const std::string fault_text = args.get_string("fault", "");
-  FaultSpec fspec;
-  if (!fault_text.empty()) fspec = FaultSpec::parse(fault_text);
   FaultPlan plan(fspec, actx.n, seed);
   if (!fault_text.empty()) actx.faults = &plan;
 
@@ -225,16 +224,6 @@ int cmd_replay(const CliArgs& args) {
   const AlgoSpec algo = AlgoSpec::parse(args.get_string(
       "algo", meta.count("algo") != 0u ? meta.at("algo") : "single_source"));
   AlgoRegistry::global().validate(algo);
-  // A static-only algorithm over a dynamic recording would die on the
-  // protocol's DG_CHECK; the shared policy inspects the recording's
-  // embedded adversary metadata and rejects that cleanly before running.
-  std::string why;
-  if (!algo_schedule_compatible(
-          *AlgoRegistry::global().find(algo.family),
-          AdversarySpec{"trace", {{"file", trace_path}}}, &why)) {
-    std::fprintf(stderr, "%s\n", why.c_str());
-    return 2;
-  }
   AlgoBuildContext actx;
   actx.n = header.n;
   actx.k = static_cast<std::uint32_t>(args.get_int("k", meta_or("k", 128)));
@@ -250,6 +239,16 @@ int cmd_replay(const CliArgs& args) {
       "fault", meta.count("fault") != 0u ? meta.at("fault") : "");
   FaultSpec fspec;
   if (!fault_text.empty()) fspec = FaultSpec::parse(fault_text);
+  // A static-only algorithm over a dynamic recording or under crash/dup
+  // faults would die on the protocol's DG_CHECK; the shared policy (which
+  // reads the recording's adversary metadata) rejects that before running.
+  std::string why;
+  if (!algo_run_compatible(*AlgoRegistry::global().find(algo.family),
+                           AdversarySpec{"trace", {{"file", trace_path}}}, fspec,
+                           &why)) {
+    std::fprintf(stderr, "%s\n", why.c_str());
+    return 2;
+  }
   FaultPlan plan(fspec, actx.n, actx.seed);
   if (!fault_text.empty()) actx.faults = &plan;
 

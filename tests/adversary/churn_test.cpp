@@ -1,6 +1,8 @@
 // Tests for the oblivious churn adversary.
 #include "adversary/churn.hpp"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "graph/connectivity.hpp"
@@ -125,6 +127,63 @@ TEST(Churn, TargetBelowTreeIsRaised) {
   const Graph g = adversary.unicast_round(v);
   EXPECT_GE(g.num_edges(), 9u);
   EXPECT_TRUE(is_connected(g));
+}
+
+TEST(Churn, GoldenScheduleHashChains) {
+  // Each shape's schedule folded into one hash chain over every round's
+  // sorted edge set, pinned when the age bookkeeping was a per-edge
+  // (key, insertion round) list: a rewrite of the σ-stability scan, the
+  // removable list's order, the shuffle's draws or the repairs that changes
+  // one edge of one round shows here.
+  struct Golden {
+    const char* name;
+    std::size_t n, edges, churn;
+    Round sigma;
+    std::uint64_t seed;
+    Round rounds;
+    std::uint64_t hash;
+  };
+  const Golden shapes[] = {
+      {"sigma1", 64, 192, 8, 1, 11, 400, 0x0173be698170e82dULL},
+      {"sigma2", 64, 192, 8, 2, 12, 400, 0x5500d3b382e1e6b0ULL},
+      {"sigma3", 64, 192, 8, 3, 13, 400, 0xc8dea08c2ea7b5b9ULL},
+      {"sigma5", 64, 192, 8, 5, 14, 400, 0x454332f0429f6e2bULL},
+      {"wide_sigma1", 512, 4096, 64, 1, 15, 120, 0x986f4cecb5694267ULL},
+      {"wide_sigma3", 512, 4096, 64, 3, 16, 120, 0x1ebc4d47e6e1d6beULL},
+      // Near-tree graphs: connect_components repairs almost every round.
+      {"sparse_repairs", 64, 70, 24, 1, 17, 400, 0xfe0540ececa27617ULL},
+      {"sparse_repairs_sigma2", 64, 66, 30, 2, 18, 400, 0xd3c95b019deece48ULL},
+      // churn >= m: every removable edge is cut each round.
+      {"churn_over_m", 40, 120, 100000, 1, 19, 200, 0x485eeac07821642cULL},
+      {"churn_over_m_sigma3", 40, 120, 100000, 3, 20, 200, 0x75be942192cc91a3ULL},
+  };
+  for (const Golden& shape : shapes) {
+    ChurnConfig cfg;
+    cfg.n = shape.n;
+    cfg.target_edges = shape.edges;
+    cfg.churn_per_round = shape.churn;
+    cfg.sigma = shape.sigma;
+    cfg.seed = shape.seed;
+    ChurnAdversary adversary(cfg);
+    std::uint64_t hash = 0;
+    std::size_t repaired = 0;  // rounds that needed edges beyond the target
+    UnicastRoundView v;
+    for (Round r = 1; r <= shape.rounds; ++r) {
+      v.round = r;
+      const Graph& g = adversary.unicast_round(v);
+      if (g.num_edges() > shape.edges) ++repaired;
+      hash = (hash ^ r) * 0x100000001b3ULL;
+      for (const EdgeKey key : g.sorted_edges()) {
+        hash ^= key;
+        hash *= 0x100000001b3ULL;
+        hash ^= hash >> 29;
+      }
+    }
+    EXPECT_EQ(hash, shape.hash) << shape.name;
+    if (std::string(shape.name).rfind("sparse", 0) == 0) {
+      EXPECT_GT(repaired, shape.rounds / 2) << shape.name;
+    }
+  }
 }
 
 }  // namespace

@@ -118,17 +118,27 @@ TEST(AlgoRegistry, DeclaresEnginesAndStaticRequirements) {
 TEST(AlgoRegistry, ScheduleCompatibilityPolicy) {
   const AlgoFamily& tree = *AlgoRegistry::global().find("spanning_tree");
   const AlgoFamily& single = *AlgoRegistry::global().find("single_source");
+  const FaultSpec none;
   std::string why;
   // Non-static-only families accept everything.
-  EXPECT_TRUE(algo_schedule_compatible(single, AdversarySpec::parse("churn:")));
+  EXPECT_TRUE(algo_run_compatible(single, AdversarySpec::parse("churn:"), none));
+  EXPECT_TRUE(algo_run_compatible(single, AdversarySpec::parse("churn:"),
+                                  FaultSpec::parse("crash=0.1,recover=0.5,dup=0.1")));
   // Static-only: the static family passes, synthetic dynamic families are
   // rejected with a reason.
   EXPECT_TRUE(
-      algo_schedule_compatible(tree, AdversarySpec::parse("static:graph=gnp")));
-  EXPECT_FALSE(algo_schedule_compatible(tree, AdversarySpec::parse("churn:"), &why));
+      algo_run_compatible(tree, AdversarySpec::parse("static:graph=gnp"), none));
+  EXPECT_FALSE(algo_run_compatible(tree, AdversarySpec::parse("churn:"), none, &why));
   EXPECT_NE(why.find("static"), std::string::npos);
-  EXPECT_FALSE(algo_schedule_compatible(
-      tree, AdversarySpec::parse("smoothed:base=x.dgt"), &why));
+  EXPECT_FALSE(algo_run_compatible(
+      tree, AdversarySpec::parse("smoothed:base=x.dgt"), none, &why));
+  // ... and so are crash and duplication faults (drops only stall it).
+  const AdversarySpec fixed = AdversarySpec::parse("static:");
+  EXPECT_FALSE(algo_run_compatible(tree, fixed, FaultSpec::parse("dup=0.05"), &why));
+  EXPECT_NE(why.find("reliable"), std::string::npos);
+  EXPECT_FALSE(algo_run_compatible(tree, fixed,
+                                   FaultSpec::parse("crash=0.01,recover=0.2"), &why));
+  EXPECT_TRUE(algo_run_compatible(tree, fixed, FaultSpec::parse("drop=0.05")));
 }
 
 TEST(AlgoRegistry, RejectsBadValuesAndContexts) {

@@ -30,7 +30,7 @@ class NodeZeroRounds {
   static constexpr NodeId kHub = kN - 1;
 
   explicit NodeZeroRounds(bool patch)
-      : patch_(patch), tracker_(kN), plane_(tracker_, nullptr, /*track_since=*/true) {}
+      : patch_(patch), plane_(kN, nullptr, /*track_since=*/true) {}
 
   /// Ingests round r with node 0 adjacent to exactly `ids` (plus the hub).
   void round(Round r, const std::vector<NodeId>& ids) {
@@ -68,7 +68,6 @@ class NodeZeroRounds {
   }
 
   bool patch_;
-  DynamicGraphTracker tracker_;
   RoundGraphPlane plane_;
   std::optional<Graph> graph_;
 };

@@ -1,5 +1,5 @@
-// Pinned payload checksums: five trials whose payload bytes are frozen, so
-// a change to the per-round graph plane (CSR view, tracker, connectivity
+// Pinned payload checksums: six trials whose payload bytes are frozen, so
+// a change to the per-round graph plane (CSR view, diff, connectivity
 // check), to the unicast send phase or to the churn adversaries cannot
 // silently change results.
 //
@@ -12,14 +12,19 @@
 //     with recovery, amnesia, drops and duplicates on a fast churn, so
 //     that crashed requesting nodes recover onto edges that changed while
 //     they were down (the unicast engine's crash rule for edge `since`
-//     rounds and the wake set's recovery and delivery wake-ups).
+//     rounds and the wake set's recovery and delivery wake-ups);
+//   - a two-phase oblivious trial under crashes with recovery and amnesia
+//     whose phase 2 shares phase 1's graph plane; nodes crash in phase 2's
+//     first round and recover onto edges whose phase-1 since rounds phase 2
+//     must not see.
 //
 // The first three checksums were taken from the engines before the graph
 // plane patched its per-round state from the adversary's edits; the two
-// faulted ones before the engine kept per-arc since rounds and skipped
-// quiescent nodes.  Each trial is checked serially and again at 4
+// faulted unicast ones before the engine kept per-arc since rounds and
+// skipped quiescent nodes; the oblivious one while each phase engine still
+// owned its own plane.  Each trial is checked serially and again at 4
 // threads: handed a 4-worker engine pool from the test thread, and all
-// five run concurrently on the pool.  Sharded rounds
+// six run concurrently on the pool.  Sharded rounds
 // only engage at n >= 4096; sharded_identity_test covers them at test
 // sizes.
 #include <cstdint>
@@ -63,6 +68,9 @@ const std::vector<PinnedTrial>& pinned_trials() {
       {"multi_source:sources=4", "churn:churn=64,edges=1024",
        "crash=0.003,recover=0.05,amnesia=1,drop=0.05,dup=0.05", 128, 32, 43,
        0x883ec8ffc4d740beULL},
+      {"oblivious:sources=16,force_phase1=true,f=64", "churn:churn=64,edges=1024",
+       "crash=0.02,recover=0.3,amnesia=1,dup=0.05", 128, 32, 125,
+       0xbf0e47ab1b4394e5ULL},
   };
   return trials;
 }

@@ -177,29 +177,33 @@ TEST(UnicastEngine, RunUntilPredicate) {
   EXPECT_FALSE(m.completed);  // node 3 does not know the token yet
 }
 
-TEST(UnicastEngine, SharedTrackerAndStartRoundContinuation) {
+TEST(UnicastEngine, SharedPlaneAndStartRoundContinuation) {
   constexpr std::size_t n = 3, k = 1;
   StaticAdversary adversary(path_graph(n));
   auto init = one_holder(n, k, 0);
-  DynamicGraphTracker tracker(n);
+  RoundGraphPlane plane(n, nullptr, /*track_since=*/true);
 
   UnicastEngineOptions o1;
-  o1.tracker = &tracker;
+  o1.plane = &plane;
   UnicastEngine first(relays(n, k, init), adversary, init, k, o1);
   first.step();
-  EXPECT_EQ(tracker.topological_changes(), 2u);  // the path's 2 edges
+  EXPECT_EQ(first.metrics().tc, 2u);  // the path's 2 edges
 
   // A second engine continues the same execution: no re-counted insertions.
   std::vector<KnowledgeSet> mid;
   for (NodeId v = 0; v < n; ++v) mid.push_back(first.knowledge_of(v));
   UnicastEngineOptions o2;
-  o2.tracker = &tracker;
+  o2.plane = &plane;
   o2.start_round = first.round() + 1;
   UnicastEngine second(relays(n, k, mid), adversary, mid, k, o2);
   second.run(100);
   EXPECT_TRUE(second.all_complete());
-  EXPECT_EQ(tracker.topological_changes(), 2u);  // static graph: no new TC
-  EXPECT_EQ(second.metrics().tc, 0u);
+  EXPECT_EQ(plane.round(), second.round());
+  EXPECT_EQ(second.metrics().tc, 0u);  // static graph: no new TC
+  // The second engine saw the edges first in its own first round.
+  for (NodeId v = 0; v < n; ++v) {
+    for (const Round since : plane.since(v)) EXPECT_EQ(since, 2u);
+  }
 }
 
 TEST(UnicastEngine, MaxRoundsStopsIncompleteRun) {

@@ -103,15 +103,19 @@ TEST(Connectivity, CheckerMatchesUnionFindOracle) {
 }
 
 TEST(Connectivity, IncrementalGraphCheckMatchesUnionFindOracle) {
-  // The same Graph checked round after round: the checker re-spans its
-  // tree from the edit journal.  Cuts of varying size disconnect it now and
-  // then; sometimes the graph is repaired, sometimes left for later rounds.
+  // The same Graph checked round after round, for thousands of rounds: the
+  // checker re-spans its tree from the edit journal.  Cuts of varying size
+  // disconnect it now and then; sometimes the graph is repaired, sometimes
+  // left for later rounds.  Both re-attach paths must run: the bounded
+  // walk and the full relabel behind it.
   Rng rng(17);
+  std::uint64_t local = 0;
+  std::uint64_t relabels = 0;
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 8 + rng.next_below(40);
     Graph g = random_connected_with_edges(n, n + rng.next_below(2 * n), rng);
     ConnectivityChecker checker;
-    for (int round = 0; round < 40; ++round) {
+    for (int round = 0; round < 1000; ++round) {
       const std::size_t cuts = rng.next_below(1 + g.num_edges() / 4);
       for (std::size_t c = 0; c < cuts; ++c) {
         const std::vector<EdgeKey> edges = g.sorted_edges();
@@ -130,7 +134,11 @@ TEST(Connectivity, IncrementalGraphCheckMatchesUnionFindOracle) {
           << "trial " << trial << " round " << round;
       if (rng.bernoulli(0.5)) connect_components(g, rng);
     }
+    local += checker.local_reattaches();
+    relabels += checker.relabels();
   }
+  EXPECT_GT(local, 1000u);
+  EXPECT_GT(relabels, 100u);
 }
 
 TEST(Connectivity, CheckerTrivialCases) {

@@ -1,11 +1,14 @@
-// Tests for TC(E) accounting and edge-age tracking (Definition 1.3).
+// Tests for TC(E) accounting (Definition 1.3) and edge ages, which the
+// round graph plane's since and the σ-stability validator serve.
 #include "graph/dynamic_tracker.hpp"
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "engine/graph_plane.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "graph/stability.hpp"
 
 namespace dyngossip {
 namespace {
@@ -49,38 +52,56 @@ TEST(DynamicTracker, DeletionsNeverExceedInsertions) {
   }
 }
 
+/// since of the arc u->v in the plane's last view; kNoRound when absent.
+Round since_of(const RoundGraphPlane& plane, NodeId u, NodeId v) {
+  const std::size_t arc = plane.view().arc_index(u, v);
+  if (arc == kNoArc) return kNoRound;
+  return plane.since(u)[arc - plane.view().arc_begin(u)];
+}
+
 TEST(DynamicTracker, InsertionRoundAndReinsertion) {
+  // An edge's latest insertion round is the since of its arcs on a plane
+  // that saw every round; its completed lifetimes are the validator's.
   DynamicGraphTracker tracker(3);
+  RoundGraphPlane plane(3, nullptr, /*track_since=*/true);
+  StabilityValidator stability(1);
   Graph with(3), without(3);
   with.add_edge(0, 1);
   with.add_edge(1, 2);
   without.add_edge(1, 2);
   without.add_edge(0, 2);
+  const auto round = [&](const Graph& g, Round r) {
+    tracker.advance(g, r);
+    plane.ingest(g, r);
+    stability.observe(g, r);
+  };
 
-  tracker.advance(with, 1);
-  EXPECT_EQ(tracker.insertion_round(edge_key(0, 1)), 1u);
-  tracker.advance(without, 2);
-  EXPECT_EQ(tracker.insertion_round(edge_key(0, 1)), kNoRound);  // removed
-  tracker.advance(with, 3);
-  EXPECT_EQ(tracker.insertion_round(edge_key(0, 1)), 3u);  // re-inserted fresh
+  round(with, 1);
+  EXPECT_EQ(since_of(plane, 0, 1), 1u);
+  EXPECT_EQ(since_of(plane, 1, 0), 1u);
+  round(without, 2);
+  EXPECT_EQ(since_of(plane, 0, 1), kNoRound);  // removed
+  EXPECT_EQ(since_of(plane, 1, 2), 1u);        // kept
+  round(with, 3);
+  EXPECT_EQ(since_of(plane, 0, 1), 3u);  // re-inserted fresh
   // {0,1} was present exactly 1 round before removal.
-  EXPECT_EQ(tracker.min_completed_lifetime(), 1u);
+  EXPECT_EQ(stability.min_lifetime(), 1u);
   // TC: r1 inserts 2, r2 inserts {0,2}, r3 re-inserts {0,1}.
   EXPECT_EQ(tracker.topological_changes(), 4u);
 }
 
 TEST(DynamicTracker, MinLifetimeTracksShortestInterval) {
-  DynamicGraphTracker tracker(3);
+  StabilityValidator stability(1);
   Graph a(3), b(3);
   a.add_edge(0, 1);
   a.add_edge(1, 2);
   b.add_edge(0, 1);
   b.add_edge(0, 2);
-  tracker.advance(a, 1);
-  EXPECT_EQ(tracker.min_completed_lifetime(), kNoRound);  // nothing removed yet
-  tracker.advance(a, 2);
-  tracker.advance(b, 3);  // {1,2} lived rounds 1-2 => lifetime 2
-  EXPECT_EQ(tracker.min_completed_lifetime(), 2u);
+  stability.observe(a, 1);
+  EXPECT_EQ(stability.min_lifetime(), kNoRound);  // nothing removed yet
+  stability.observe(a, 2);
+  stability.observe(b, 3);  // {1,2} lived rounds 1-2 => lifetime 2
+  EXPECT_EQ(stability.min_lifetime(), 2u);
 }
 
 TEST(DynamicTrackerDeath, RoundsMustBeConsecutive) {
@@ -123,10 +144,6 @@ TEST(DynamicTracker, ViewAdvanceMatchesGraphAdvance) {
   }
   EXPECT_EQ(by_graph.topological_changes(), by_view.topological_changes());
   EXPECT_EQ(by_graph.deletions(), by_view.deletions());
-  EXPECT_EQ(by_graph.min_completed_lifetime(), by_view.min_completed_lifetime());
-  rounds.back().for_each_edge([&](EdgeKey key) {
-    EXPECT_EQ(by_graph.insertion_round(key), by_view.insertion_round(key));
-  });
 }
 
 }  // namespace

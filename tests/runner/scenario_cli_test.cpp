@@ -3,10 +3,12 @@
 #include "sim/runner/emit.hpp"
 
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "scenarios/scenarios.hpp"
+#include "sim/runner/scenario_cli.hpp"
 #include "sim/runner/scenario_registry.hpp"
 
 namespace dyngossip {
@@ -57,6 +59,21 @@ TEST(ScenarioRun, PayloadIsThreadCountInvariant) {
   const ScenarioResult parallel8 = run_with_threads(*scenario, 8, 8);
   EXPECT_TRUE(serial == parallel2);
   EXPECT_TRUE(serial == parallel8);
+}
+
+TEST(ScenarioCli, FaultFragileAlgorithmIsAFlagError) {
+  // spanning_tree asserts exactly-once delivery and a node up from round 1:
+  // under dup or crash faults it would abort (exit 134).  The run is refused
+  // as a flag error instead.
+  ScenarioRegistry registry;
+  register_all_scenarios(registry);
+  for (const char* fault : {"--fault=fault:dup=0.05", "--fault=crash=0.01,recover=0.2"}) {
+    const std::vector<const char*> argv = {
+        "dyngossip", "run", "single_source", "--quick", "--algo=spanning_tree",
+        "--adversary=static", fault, "--json=/dev/null"};
+    EXPECT_EQ(dyngossip_main(registry, static_cast<int>(argv.size()), argv.data()), 2)
+        << fault;
+  }
 }
 
 TEST(ScenarioRun, FromJsonRejectsMalformedRecords) {

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "serve/protocol.hpp"
+#include "serve/serve_cli.hpp"
 #include "sim/runner/json.hpp"
 
 namespace dyngossip {
@@ -222,6 +223,38 @@ TEST(SweepService, InvalidRequestEmitsOneErrorLine) {
     ASSERT_EQ(out.size(), 1u) << line;
     EXPECT_EQ(parse_line(out[0]).type, "error") << line;
   }
+}
+
+TEST(SweepService, FaultFragileAlgorithmIsAnErrorAndServingGoesOn) {
+  // spanning_tree asserts exactly-once delivery: under dup faults it would
+  // abort the whole process mid-sweep.  The shared policy refuses it.
+  ThreadPool pool(1);
+  SweepService service(pool, nullptr);
+  std::vector<std::string> out;
+  service.run_request_line(
+      R"({"algo":"spanning_tree","adversary":"static","fault":"fault:dup=0.05",)"
+      R"("n":16,"k":4})",
+      [&](const std::string& l) { out.push_back(l); });
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(parse_line(out[0]).type, "error");
+  EXPECT_NE(out[0].find("reliable"), std::string::npos);
+  const std::vector<std::string> next = run_and_collect(service, small_request(2, 0));
+  ASSERT_FALSE(next.empty());
+  EXPECT_EQ(parse_line(next.back()).type, "done");
+}
+
+TEST(RequestCli, OutOfRangeShapeIsRefusedBeforeConnecting) {
+  // k = 2^32 + 5 would narrow to k = 5; the client refuses it with the
+  // server's limits (exit 2) before it connects (a connect failure is 1).
+  for (const char* bad : {"--k=4294967301", "--k=-1", "--cap=4294967296"}) {
+    const std::vector<const char*> argv = {"dyngossip", "request",
+                                           "--socket=/nonexistent", "--adversary=churn",
+                                           "--n=64", "--k=4", bad};
+    EXPECT_EQ(serve_main(static_cast<int>(argv.size()), argv.data()), 2) << bad;
+  }
+  const std::vector<const char*> ok = {"dyngossip", "request", "--socket=/nonexistent",
+                                       "--adversary=churn", "--n=64", "--k=4"};
+  EXPECT_EQ(serve_main(static_cast<int>(ok.size()), ok.data()), 1);
 }
 
 TEST(FairScheduler, RotatesBetweenSessions) {
